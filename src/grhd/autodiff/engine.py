@@ -3,7 +3,9 @@
 Tensors form a DAG; `backward` walks it once in reverse topological order and
 accumulates gradients additively across fan-out.  The gradient reversal node
 is an identity in the forward pass and multiplies the upstream gradient by
--lambda in the backward pass.
+-lambda in the backward pass.  Gradients are computed only for parents with
+`requires_grad`: an op may return None for the others, and `backward`
+skips them.
 """
 
 from __future__ import annotations
@@ -213,29 +215,57 @@ def grad_reverse(a: Tensor, lam: float) -> Tensor:
     return Tensor(a.data, _parents=(a,), _backward=backward)
 
 
+# Longest NCHW run (Wo) for which _col2im switches to the (N, C)-innermost
+# grid.  Measured at batch 64, f32: the [Hp, Wp, N, C] grid is 1.5-7x faster
+# at Wo = 2 and 4, and 1.3x slower at Wo = 8.
+_SHORT_RUN = 4
+
+
 def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
             ph: int, pw: int):
+    """[N, C, H, W] -> columns [N, C*kh*kw, Ho*Wo], rows ordered (c, i, j)."""
     n, c, h, w = x.shape
-    xp = _pad2d(x, ph, pw)
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        _pad2d(x, ph, pw), (kh, kw), axis=(2, 3))
+    # [N, C, Ho, Wo, kh, kw] view -> [N, C, kh, kw, Ho, Wo] in one copy.
+    cols = np.ascontiguousarray(
+        windows[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * kh * kw, ho * wo), (ho, wo)
 
 
 def _col2im(dcols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, ho, wo):
+    """Scatter-add columns back onto the padded input grid.
+
+    The taps are added one by one in (i, j) order in either layout, so every
+    input element sums the same terms in the same order.  A tap's slice of
+    an NCHW grid is N*C*Ho runs of Wo elements; when the runs are short
+    (the deep, small maps) the per-run loop overhead dominates, and the
+    taps are accumulated on an [Hp, Wp, N, C] grid instead, whose rows are
+    N*C elements long.
+    """
     n, c, h, w = x_shape
-    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dcols.dtype)
+    hp, wp = h + 2 * ph, w + 2 * pw
     dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+    if wo <= _SHORT_RUN:
+        taps = np.ascontiguousarray(dcols.transpose(2, 3, 4, 5, 0, 1))
+        dxt = np.zeros((hp, wp, n, c), dtype=dcols.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dxt[i:i + sh * ho:sh, j:j + sw * wo:sw] += taps[i, j]
+        return np.ascontiguousarray(
+            dxt[ph:h + ph, pw:w + pw].transpose(2, 3, 0, 1))
+    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += \
@@ -255,18 +285,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     co, ci, kh, kw = w.data.shape
     sh, sw = stride
     ph, pw = padding
+    if x.data.shape[2] + 2 * ph < kh or x.data.shape[3] + 2 * pw < kw:
+        raise ShapeMismatch(
+            f"conv2d kernel {kh}x{kw} larger than padded input "
+            f"{x.data.shape[2:]} + 2*{padding}")
     cols, (ho, wo) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
     wmat = w.data.reshape(co, ci * kh * kw)
     out = np.matmul(wmat, cols).reshape(x.data.shape[0], co, ho, wo)
     if b is not None:
-        out = out + b.data[None, :, None, None]
+        out += b.data[None, :, None, None]
 
     def backward(g):
         gmat = g.reshape(g.shape[0], co, ho * wo)
         dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0) \
             .reshape(w.data.shape)
-        dcols = np.matmul(wmat.T, gmat)
-        dx = _col2im(dcols, x.data.shape, kh, kw, sh, sw, ph, pw, ho, wo)
+        dx = None
+        if x.requires_grad:
+            dcols = np.matmul(wmat.T, gmat)
+            dx = _col2im(dcols, x.data.shape, kh, kw, sh, sw, ph, pw, ho, wo)
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw
@@ -293,13 +329,15 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor,
     statistics on the input.
     """
     axes = (0, 2, 3)
-    m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
     mean = x.data.mean(axis=axes)
-    var = x.data.var(axis=axes)
+    # The centred input, scaled in place into xhat once var is known; this
+    # is the same arithmetic as x.var(), without a second centred copy.
+    xhat = x.data - mean[None, :, None, None]
+    var = np.square(xhat).mean(axis=axes)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + \
-        beta.data[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat
+    out += beta.data[None, :, None, None]
 
     def backward(g):
         dgamma = (g * xhat).sum(axis=axes)
@@ -322,8 +360,8 @@ def batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     inv_std = 1.0 / np.sqrt(running_var + eps)
     xhat = (x.data - running_mean[None, :, None, None]) * \
         inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + \
-        beta.data[None, :, None, None]
+    out = gamma.data[None, :, None, None] * xhat
+    out += beta.data[None, :, None, None]
 
     def backward(g):
         scale_ = (gamma.data * inv_std)[None, :, None, None]

@@ -31,7 +31,13 @@ import numpy as np
 
 from .dataset import AttributeGroupTable
 from .dsp import SpectrogramConfig, StandardStats
-from .errors import ChecksumError, InvalidConfig, IoError, VersionMismatch
+from .errors import (
+    ChecksumError,
+    InvalidConfig,
+    IoError,
+    MalformedCheckpoint,
+    VersionMismatch,
+)
 from .model import GrhdModel, ModelConfig
 
 MAGIC = b"GRHDCKPT"
@@ -57,16 +63,20 @@ class Checkpoint:
         """Instantiate the model and restore every tensor bit-exactly."""
         model = GrhdModel(self.model_cfg, seed=seed)
         for name, tensor in model.parameters():
-            key = "param." + name
-            if key not in self.tensors:
-                raise InvalidConfig(f"checkpoint missing tensor {key}")
-            tensor.data = self.tensors[key].copy()
+            tensor.data = self._tensor("param." + name, tensor.data).copy()
         for name, arr in model.state_arrays():
-            key = "state." + name
-            if key not in self.tensors:
-                raise InvalidConfig(f"checkpoint missing tensor {key}")
-            arr[...] = self.tensors[key]
+            arr[...] = self._tensor("state." + name, arr)
         return model
+
+    def _tensor(self, key: str, like: np.ndarray) -> np.ndarray:
+        if key not in self.tensors:
+            raise InvalidConfig(f"checkpoint missing tensor {key}")
+        stored = self.tensors[key]
+        if stored.shape != like.shape or stored.dtype != like.dtype:
+            raise MalformedCheckpoint(
+                f"checkpoint tensor {key} is {stored.dtype}{stored.shape}, "
+                f"the model needs {like.dtype}{like.shape}")
+        return stored
 
 
 def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
@@ -124,12 +134,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     body, checksum = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != checksum:
         raise ChecksumError(f"{path}: checksum mismatch, file corrupted")
-    offset = len(MAGIC)
-    version, header_len = struct.unpack_from("<II", body, offset)
-    offset += 8
+    version, header_len = struct.unpack_from("<II", body, len(MAGIC))
     if version != VERSION:
         raise VersionMismatch(
             f"{path}: checkpoint version {version}, expected {VERSION}")
+    try:
+        return _parse_body(body, len(MAGIC) + 8, header_len)
+    except (struct.error, KeyError, ValueError, TypeError,
+            AttributeError) as exc:
+        # A body that passed the checksum but does not parse was written
+        # wrong, not damaged in transit.
+        raise MalformedCheckpoint(
+            f"{path}: malformed checkpoint body: "
+            f"{type(exc).__name__}: {exc}") from None
+
+
+def _parse_body(body: bytes, offset: int, header_len: int) -> Checkpoint:
     header = json.loads(body[offset:offset + header_len].decode())
     offset += header_len
     (n_tensors,) = struct.unpack_from("<I", body, offset)
@@ -151,6 +171,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             shape, dtype=np.int64)), offset=offset).reshape(shape)
         offset += nbytes
         tensors[name] = arr.copy()
+    if offset != len(body):
+        raise ValueError(f"{len(body) - offset} bytes after the last tensor")
 
     stats = StandardStats.from_arrays({
         "mean": tensors["stats.mean"], "std": tensors["stats.std"],
@@ -165,6 +187,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         table=AttributeGroupTable.from_dict(header["table"]),
         stats=stats,
         class_weights=tensors["class_weights"],
-        train_echo=header["train_echo"],
+        train_echo=dict(header["train_echo"]),
         tensors=tensors,
     )

@@ -84,8 +84,8 @@ def cmd_synth(args) -> int:
 
 
 def _load_train_clips(data_dir: Path, machine: str):
-    clips = load_corpus_dir(data_dir, machine_type=machine)
-    train_clips = [c for c in clips if c.metadata.split is Split.TRAIN]
+    train_clips = load_corpus_dir(data_dir, machine_type=machine,
+                                  split=Split.TRAIN)
     if not train_clips:
         raise NoTrainingData(
             f"no training clips for machine {machine!r} under {data_dir}")
@@ -130,7 +130,10 @@ def cmd_eval(args) -> int:
         ckpt = load_checkpoint(ckpt_path)
         machine = ckpt.train_echo.get("machine", "unknown")
         model = ckpt.build_model()
-        clips = load_corpus_dir(args.data, machine_type=machine)
+        # Only the knn scorer reads the train split (its reference bank).
+        clips = load_corpus_dir(
+            args.data, machine_type=machine,
+            split=None if run.scorer == "knn" else Split.TEST)
         test_clips = [c for c in clips if c.metadata.split is Split.TEST]
         if not test_clips:
             raise NoTrainingData(

@@ -65,6 +65,10 @@ class InvalidP(GrhdError):
     pass
 
 
+class NonFiniteScore(GrhdError):
+    pass
+
+
 class NonpositiveValue(GrhdError):
     pass
 
@@ -74,6 +78,10 @@ class VersionMismatch(GrhdError):
 
 
 class ChecksumError(GrhdError):
+    pass
+
+
+class MalformedCheckpoint(GrhdError):
     pass
 
 

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateLabels,
     EmptyBank,
     InvalidP,
+    NonFiniteScore,
     NonpositiveValue,
     UnknownSection,
 )
@@ -50,13 +51,23 @@ class ScoredClip:
     score: float  # higher = more anomalous
 
 
-def auc(normal_scores: Sequence[float],
-        anomaly_scores: Sequence[float]) -> float:
-    """Fraction of (normal, anomaly) pairs ranked correctly; ties count 0.5."""
+def _score_arrays(normal_scores: Sequence[float],
+                  anomaly_scores: Sequence[float]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Both score sets as float64 arrays; each must be nonempty and finite."""
     if not len(normal_scores) or not len(anomaly_scores):
         raise DegenerateLabels("need at least one normal and one anomaly")
     normals = np.asarray(normal_scores, dtype=np.float64)
     anomalies = np.asarray(anomaly_scores, dtype=np.float64)
+    if not (np.isfinite(normals).all() and np.isfinite(anomalies).all()):
+        raise NonFiniteScore("scores must be finite to be ranked")
+    return normals, anomalies
+
+
+def auc(normal_scores: Sequence[float],
+        anomaly_scores: Sequence[float]) -> float:
+    """Fraction of (normal, anomaly) pairs ranked correctly; ties count 0.5."""
+    normals, anomalies = _score_arrays(normal_scores, anomaly_scores)
     greater = int((anomalies[:, None] > normals[None, :]).sum())
     ties = int((anomalies[:, None] == normals[None, :]).sum())
     total = normals.size * anomalies.size
@@ -86,10 +97,7 @@ def pauc(normal_scores: Sequence[float], anomaly_scores: Sequence[float],
     """
     if not (0.0 < p <= 1.0):
         raise InvalidP(f"p must lie in (0, 1], got {p}")
-    if not len(normal_scores) or not len(anomaly_scores):
-        raise DegenerateLabels("need at least one normal and one anomaly")
-    normals = np.asarray(normal_scores, dtype=np.float64)
-    anomalies = np.asarray(anomaly_scores, dtype=np.float64)
+    normals, anomalies = _score_arrays(normal_scores, anomaly_scores)
     points = _roc_vertices(normals, anomalies)
     limit = Fraction(p)
     area = Fraction(0)
@@ -158,11 +166,14 @@ def build_report(scored: Sequence[ScoredClip], p: float = 0.1) -> EvalReport:
 
     AUC is computed per (machine, section, domain); pAUC per section with
     both domains pooled.  Degenerate cells (missing normals or anomalies)
-    are flagged as NA and skipped by the harmonic totals.
+    are flagged as NA and skipped by the harmonic totals.  A non-finite
+    score anywhere is an error, not a rank.
     """
     by_cell: dict[tuple[str, int], dict[str, dict[str, list[float]]]] = \
         defaultdict(lambda: defaultdict(lambda: {"normal": [], "anomaly": []}))
     for sc in scored:
+        if not np.isfinite(sc.score):
+            raise NonFiniteScore(f"{sc.clip_id}: score {sc.score}")
         m = sc.metadata
         if m.condition not in (Condition.NORMAL, Condition.ANOMALY):
             continue

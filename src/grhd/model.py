@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import cosine_anneal
+from .autodiff.gradcheck import numeric_grad, rel_err
 from .dataset import AudioClip, AttributeGroupTable, build_attribute_groups
 from .dsp import SpectrogramConfig, StandardStats, log_mel, standardize
 from .errors import (
@@ -482,20 +483,7 @@ def model_gradcheck(seed: int = 0, h: float = 1e-5,
     worst = 0.0
     for p in params:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = forward().item()
-            flat[i] = orig - h
-            down = forward().item()
-            flat[i] = orig
-            nflat[i] = (up - down) / (2 * h)
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
-                           1e-3)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+        worst = max(worst, rel_err(analytic, numeric_grad(forward, p, h)))
     return worst
 
 

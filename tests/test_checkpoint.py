@@ -5,9 +5,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grhd.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from grhd.errors import ChecksumError, IoError, VersionMismatch
+from grhd.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from grhd.errors import (
+    ChecksumError,
+    GrhdError,
+    IoError,
+    MalformedCheckpoint,
+    VersionMismatch,
+)
 from grhd.model import TrainConfig, prepare_clips, section_logits, train
 from grhd.synth import SynthConfig, synth_generate
 
@@ -127,3 +134,56 @@ def test_version_mismatch_rejected(trained, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(VersionMismatch):
         load_checkpoint(path)
+
+
+def _stamped(body: bytes) -> bytes:
+    """A body with a valid trailing checksum, so only parsing can fail."""
+    return body + hashlib.sha256(body).digest()
+
+
+def test_empty_body_is_malformed_not_key_error(tmp_path):
+    header = b"{}"
+    body = MAGIC + struct.pack("<II", VERSION, len(header)) + header + \
+        struct.pack("<I", 0)
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(_stamped(body))
+    with pytest.raises(MalformedCheckpoint):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_after_tensors_rejected(trained, tmp_path):
+    result, _ = trained
+    path = tmp_path / "model.ckpt"
+    _save(result, path)
+    path.write_bytes(_stamped(path.read_bytes()[:-32] + b"\0"))
+    with pytest.raises(MalformedCheckpoint):
+        load_checkpoint(path)
+
+
+def test_tensor_shape_mismatch_rejected_at_build(trained, tmp_path):
+    result, _ = trained
+    path = tmp_path / "model.ckpt"
+    _save(result, path)
+    ckpt = load_checkpoint(path)
+    ckpt.tensors["param.c_sec.b"] = np.zeros(99, dtype=np.float32)
+    with pytest.raises(MalformedCheckpoint):
+        ckpt.build_model()
+
+
+@pytest.fixture(scope="module")
+def saved_body(trained, tmp_path_factory):
+    result, _ = trained
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    _save(result, path)
+    return path.read_bytes()[:-32], path.parent
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_truncated_body_raises_typed_error(saved_body, data):
+    body, folder = saved_body
+    cut = data.draw(st.integers(len(MAGIC) + 8, len(body) - 1))
+    path = folder / "truncated.ckpt"
+    path.write_bytes(_stamped(body[:cut]))
+    with pytest.raises(GrhdError):
+        load_checkpoint(path).build_model()

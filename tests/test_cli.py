@@ -1,8 +1,12 @@
 """End-to-end command surface: synth, train, eval, embed, gradcheck."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
+from grhd.checkpoint import MAGIC, VERSION
 from grhd.cli import main
 
 SYNTH_CFG = """
@@ -151,6 +155,23 @@ def test_eval_corrupted_checkpoint_fails(trained, capsys):
                  "--out", str(root / "r.csv")])
     assert code == 1
     assert "checksum" in capsys.readouterr().err.lower()
+
+
+def test_eval_malformed_checkpoint_body_fails_cleanly(trained, capsys):
+    # Valid magic, version and checksum around an empty body: a `{}` header
+    # and zero tensors.
+    root, data, _ = trained
+    header = b"{}"
+    body = MAGIC + struct.pack("<II", VERSION, len(header)) + header + \
+        struct.pack("<I", 0)
+    empty = root / "empty.ckpt"
+    empty.write_bytes(body + hashlib.sha256(body).digest())
+    code = main(["eval", "--ckpt", str(empty), "--data", str(data),
+                 "--out", str(root / "r.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "malformed checkpoint body" in err
 
 
 def test_embed_rows_and_determinism(trained):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.io import wavfile
 
+from grhd import dataset
 from grhd.dataset import (
     AttributeGroupTable,
     AudioClip,
@@ -14,6 +15,7 @@ from grhd.dataset import (
     Split,
     SplitPolicy,
     build_attribute_groups,
+    load_corpus_dir,
     load_wav,
     parse_clip_metadata,
     split_corpus,
@@ -120,6 +122,67 @@ def test_write_read_round_trip(tmp_path):
     clip = load_wav(path)
     assert clip.sample_rate == 16000
     np.testing.assert_allclose(clip.samples, samples, atol=2 / 32768)
+
+
+def _two_machine_corpus(root):
+    for machine in ("toycar", "fan"):
+        for split, cond in (("train", "normal"), ("test", "anomaly")):
+            folder = root / machine / split
+            folder.mkdir(parents=True, exist_ok=True)
+            for i in range(3):
+                name = f"section_00_source_{split}_{cond}_{i:04d}.wav"
+                write_wav(folder / name, np.zeros(16), 16000)
+
+
+def _count_decodes(monkeypatch):
+    calls = []
+    read = wavfile.read
+
+    def counting(path, *args, **kwargs):
+        calls.append(path)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataset.wavfile, "read", counting)
+    return calls
+
+
+def test_load_corpus_dir_decodes_only_the_requested_machine(tmp_path,
+                                                             monkeypatch):
+    _two_machine_corpus(tmp_path)
+    calls = _count_decodes(monkeypatch)
+    clips = load_corpus_dir(tmp_path, machine_type="fan")
+    assert len(clips) == 6
+    assert {c.metadata.machine_type for c in clips} == {"fan"}
+    assert len(calls) == 6
+    assert all(p.startswith(str(tmp_path / "fan")) for p in calls)
+
+
+def test_load_corpus_dir_decodes_only_the_requested_split(tmp_path,
+                                                           monkeypatch):
+    _two_machine_corpus(tmp_path)
+    calls = _count_decodes(monkeypatch)
+    clips = load_corpus_dir(tmp_path, machine_type="toycar", split=Split.TEST)
+    assert [c.clip_id for c in clips] == \
+        [f"section_00_source_test_anomaly_{i:04d}" for i in range(3)]
+    assert len(calls) == 3
+
+
+def test_load_corpus_dir_without_machine_decodes_everything(tmp_path,
+                                                            monkeypatch):
+    _two_machine_corpus(tmp_path)
+    calls = _count_decodes(monkeypatch)
+    assert len(load_corpus_dir(tmp_path)) == 12
+    assert len(calls) == 12
+
+
+def test_load_corpus_dir_malformed_name_of_other_machine_rejected(
+        tmp_path, monkeypatch):
+    _two_machine_corpus(tmp_path)
+    write_wav(tmp_path / "toycar" / "test" / "noise.wav", np.zeros(16), 16000)
+    calls = _count_decodes(monkeypatch)
+    with pytest.raises(MalformedFilename):
+        load_corpus_dir(tmp_path, machine_type="fan")
+    assert calls == []
 
 
 def _meta(section, attrs, split=Split.TRAIN, domain=Domain.SOURCE,

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grhd.dataset import ClipMetadata, Condition, Domain, Split
-from grhd.errors import DegenerateLabels, InvalidP, NonpositiveValue
+from grhd.errors import (
+    DegenerateLabels,
+    InvalidP,
+    NonFiniteScore,
+    NonpositiveValue,
+)
 from grhd.metrics import (
     EVAL_CSV_HEADER,
     ScoredClip,
@@ -105,6 +110,26 @@ def test_auc_negation_symmetry():
 
 
 # ------------------------------------------------------------------ pauc ----
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("side", ["normal", "anomaly"])
+def test_auc_and_pauc_reject_non_finite_scores(bad, side):
+    normals, anomalies = [0.1, 0.2], [0.3, 0.4]
+    if side == "normal":
+        normals[0] = bad
+    else:
+        anomalies[1] = bad
+    with pytest.raises(NonFiniteScore):
+        auc(normals, anomalies)
+    with pytest.raises(NonFiniteScore):
+        pauc(normals, anomalies, p=0.1)
+
+
+def test_auc_nan_is_not_ranked_as_a_tie():
+    # The unguarded pair count scored this 0.5.
+    with pytest.raises(NonFiniteScore):
+        auc([0.1, 0.2], [float("nan"), 0.3])
+
 
 def test_pauc_perfect_scorer():
     assert pauc([0.1, 0.2], [0.8, 0.9], p=0.1) == 1.0
@@ -247,6 +272,14 @@ def test_report_zero_cell_zeroes_totals():
     report = build_report(scored, p=0.1)
     assert report.totals["auc_s"] == 0.0
     assert report.totals["hauc"] == 0.0
+
+
+@pytest.mark.parametrize("condition", [Condition.ANOMALY, Condition.UNKNOWN])
+def test_report_rejects_non_finite_score(condition):
+    scored = planted_corpus(1.0)
+    scored.append(_scored("fan", 1, Domain.TARGET, condition, float("nan")))
+    with pytest.raises(NonFiniteScore, match="nan"):
+        build_report(scored, p=0.1)
 
 
 def test_report_csv_layout():
