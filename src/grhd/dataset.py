@@ -24,7 +24,6 @@ from scipy.io import wavfile
 
 from .errors import (
     ContractViolation,
-    EmptySplit,
     IoError,
     MalformedFilename,
     UnsupportedFormat,
@@ -193,25 +192,14 @@ def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
 
 @dataclass
 class AttributeGroupTable:
-    """Per-section mapping from attribute combination to dense group index.
-
-    Also carries a global index over (section, group) pairs so a single
-    classifier can be trained across all sections of a machine.
-    """
+    """Per-section mapping from attribute combination to dense group index."""
 
     groups: dict[int, dict[str, int]] = field(default_factory=dict)
     counts: dict[int, dict[int, int]] = field(default_factory=dict)
 
-    def num_groups(self, section_id: int) -> int:
-        return len(self.groups[section_id])
-
     @property
     def sections(self) -> list[int]:
         return sorted(self.groups)
-
-    @property
-    def total_groups(self) -> int:
-        return sum(len(g) for g in self.groups.values())
 
     @property
     def max_groups(self) -> int:
@@ -226,27 +214,8 @@ class AttributeGroupTable:
                 out[idx] += count
         return out
 
-    def _offset(self, section_id: int) -> int:
-        off = 0
-        for sec in self.sections:
-            if sec == section_id:
-                return off
-            off += len(self.groups[sec])
-        raise KeyError(section_id)
-
     def group_index(self, meta: ClipMetadata) -> int:
         return self.groups[meta.section_id][meta.attribute_key()]
-
-    def global_index(self, meta: ClipMetadata) -> int:
-        return self._offset(meta.section_id) + self.group_index(meta)
-
-    def global_counts(self) -> np.ndarray:
-        out = np.zeros(self.total_groups, dtype=np.int64)
-        for sec in self.sections:
-            off = self._offset(sec)
-            for idx, count in self.counts[sec].items():
-                out[off + idx] = count
-        return out
 
     def to_dict(self) -> dict:
         return {
@@ -287,47 +256,6 @@ def build_attribute_groups(clips: Sequence[ClipMetadata]) -> AttributeGroupTable
         table.counts[section_id] = {i: combos[key]
                                     for i, key in enumerate(ordered)}
     return table
-
-
-@dataclass
-class SplitPolicy:
-    """Optional deterministic subsampling applied after the metadata split."""
-
-    train_fraction: float = 1.0
-    test_fraction: float = 1.0
-    seed: int = 0
-
-
-def split_corpus(corpus: Sequence[AudioClip],
-                 policy: SplitPolicy | None = None
-                 ) -> tuple[list[AudioClip], list[AudioClip]]:
-    """Split a corpus by the Split field of each clip's metadata."""
-    train, test = [], []
-    for clip in corpus:
-        if clip.metadata.split is Split.TRAIN:
-            if clip.metadata.condition is Condition.ANOMALY:
-                raise ContractViolation(
-                    f"{clip.clip_id}: anomalous clip marked as train")
-            train.append(clip)
-        else:
-            test.append(clip)
-    if policy is not None:
-        rng = np.random.default_rng(policy.seed)
-        train = _subsample(train, policy.train_fraction, rng)
-        test = _subsample(test, policy.test_fraction, rng)
-    if not train or not test:
-        raise EmptySplit(
-            f"split produced {len(train)} train / {len(test)} test clips")
-    return train, test
-
-
-def _subsample(clips: list[AudioClip], fraction: float,
-               rng: np.random.Generator) -> list[AudioClip]:
-    if fraction >= 1.0:
-        return clips
-    keep = max(1, int(round(len(clips) * fraction)))
-    idx = rng.permutation(len(clips))[:keep]
-    return [clips[i] for i in sorted(idx)]
 
 
 def write_manifest(path: str | Path, clips: Iterable[AudioClip],

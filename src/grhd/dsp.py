@@ -9,7 +9,6 @@ unnormalized rfft is used, so for one frame the windowed-signal power equals
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -105,21 +104,12 @@ def mel_filterbank(config: SpectrogramConfig,
     return bank
 
 
-@dataclass
-class LogMelSpectrogram:
-    values: np.ndarray  # [num_mels, num_frames]
-    config: SpectrogramConfig
-    clip_id: str = ""
-
-
 def log_mel(samples: np.ndarray, config: SpectrogramConfig,
-            sample_rate: int, clip_id: str = "") -> LogMelSpectrogram:
-    """log(max(filterbank @ |STFT|^2, log_floor))."""
+            sample_rate: int) -> np.ndarray:
+    """log(max(filterbank @ |STFT|^2, log_floor)), [num_mels, num_frames]."""
     spec = np.abs(stft(samples, config)) ** 2
     bank = mel_filterbank(config, sample_rate)
-    mel_energy = bank @ spec
-    values = np.log(np.maximum(mel_energy, config.log_floor))
-    return LogMelSpectrogram(values=values, config=config, clip_id=clip_id)
+    return np.log(np.maximum(bank @ spec, config.log_floor))
 
 
 @dataclass
@@ -139,27 +129,25 @@ class StandardStats:
                    degenerate_bins=arrays["degenerate"].astype(bool))
 
 
-def standardize(spectrograms: Sequence[LogMelSpectrogram],
-                stats: StandardStats | None = None
-                ) -> tuple[list[LogMelSpectrogram], StandardStats]:
-    """Per-mel-bin zero-mean / unit-std normalization.
+def standardize(specs: np.ndarray,
+                stats: StandardStats | None = None) -> StandardStats:
+    """Per-mel-bin zero-mean / unit-std normalization, in place, of an
+    [N, mels, frames] stack.
 
-    With stats given (the test-time path) they are applied as-is.  Bins with
-    zero variance get std 1 and are flagged in the returned stats.
+    Stats are computed over its [mels, N * frames] reshape, columns in clip
+    then frame order; given stats (the test-time path) are applied as-is.
+    Bins with zero variance get std 1 and are flagged in the returned stats.
     """
-    if not spectrograms:
-        raise InvalidConfig("standardize needs at least one spectrogram")
+    if specs.ndim != 3 or specs.shape[0] == 0:
+        raise InvalidConfig(f"standardize needs a nonempty [N, mels, frames] "
+                            f"stack, got shape {specs.shape}")
     if stats is None:
-        stacked = np.concatenate([s.values for s in spectrograms], axis=1)
-        mean = stacked.mean(axis=1)
-        std = stacked.std(axis=1)
+        flat = specs.transpose(1, 0, 2).reshape(specs.shape[1], -1)
+        mean = flat.mean(axis=1)
+        std = flat.std(axis=1)
         degenerate = std == 0.0
         std = np.where(degenerate, 1.0, std)
         stats = StandardStats(mean=mean, std=std, degenerate_bins=degenerate)
-    out = [
-        LogMelSpectrogram(
-            values=(s.values - stats.mean[:, None]) / stats.std[:, None],
-            config=s.config, clip_id=s.clip_id)
-        for s in spectrograms
-    ]
-    return out, stats
+    specs -= stats.mean[:, None]
+    specs /= stats.std[:, None]
+    return stats

@@ -21,10 +21,6 @@ class InvalidConfig(GrhdError):
     pass
 
 
-class EmptySplit(GrhdError):
-    pass
-
-
 class ContractViolation(GrhdError):
     pass
 

@@ -10,8 +10,6 @@ the section features (hierarchy, not parallel heads).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +29,16 @@ from .errors import (
 )
 
 
+_PRECISIONS = {"f32": np.float32, "f64": np.float64}
+
+
+def precision_dtype(precision: str):
+    """The numpy dtype of a precision mode, "f32" or "f64"."""
+    if precision not in _PRECISIONS:
+        raise InvalidConfig(f"unknown precision mode {precision!r}")
+    return _PRECISIONS[precision]
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     num_mels: int = 128
@@ -45,11 +53,7 @@ class ModelConfig:
     dtype: str = "f32"  # "f32" or "f64"
 
     def np_dtype(self):
-        if self.dtype == "f32":
-            return np.float32
-        if self.dtype == "f64":
-            return np.float64
-        raise InvalidConfig(f"unknown precision mode {self.dtype!r}")
+        return precision_dtype(self.dtype)
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,7 @@ class TrainConfig:
             raise InvalidConfig("epochs and batch size must be >= 1")
         if self.lambda_gain <= 0:
             raise InvalidConfig("lambda schedule gain must be > 0")
+        precision_dtype(self.precision)
 
 
 def lambda_schedule(progress: float, gain: float = 10.0) -> float:
@@ -246,14 +251,6 @@ def inverse_frequency_weights(table: AttributeGroupTable,
     return (w / w.mean()).astype(dtype)
 
 
-def _preproc_workers() -> int:
-    raw = os.environ.get("GRHD_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 @dataclass
 class PreparedBatchSet:
     """Preprocessed training inputs for one machine type."""
@@ -282,15 +279,8 @@ def prepare_clips(clips: list[AudioClip], dsp_cfg: SpectrogramConfig,
             "all clips in a batch set need one length and one sample rate")
     sr = clips[0].sample_rate
 
-    workers = _preproc_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            specs_raw = list(pool.map(
-                lambda c: log_mel(c.samples, dsp_cfg, sr, c.clip_id), clips))
-    else:
-        specs_raw = [log_mel(c.samples, dsp_cfg, sr, c.clip_id)
-                     for c in clips]
-    specs_std, stats = standardize(specs_raw, stats)
+    specs = np.stack([log_mel(c.samples, dsp_cfg, sr) for c in clips])
+    stats = standardize(specs, stats)
 
     if table is None:
         table = build_attribute_groups([c.metadata for c in clips])
@@ -298,8 +288,8 @@ def prepare_clips(clips: list[AudioClip], dsp_cfg: SpectrogramConfig,
         sections = table.sections
     sec_index = {s: i for i, s in enumerate(sections)}
 
-    waves = np.stack([c.samples for c in clips]).astype(dtype)[:, None, :]
-    specs = np.stack([s.values for s in specs_std]).astype(dtype)
+    waves = np.stack([c.samples for c in clips], dtype=dtype)[:, None, :]
+    specs = specs.astype(dtype, copy=False)
     sec_labels = np.array(
         [sec_index.get(c.metadata.section_id, -1) for c in clips],
         dtype=np.int64)
@@ -336,7 +326,8 @@ def train(clips: list[AudioClip], train_cfg: TrainConfig,
 
     Epoch loop: seeded shuffle, forward, joint loss, backward, Adam step;
     lambda comes from the logistic schedule and the learning rate from
-    cosine annealing.  Raises DivergenceDetected on a non-finite loss.
+    cosine annealing.  Raises DivergenceDetected on a non-finite loss or
+    on a non-finite parameter after an Adam step.
     """
     if not clips:
         raise NoTrainingData("empty training corpus")
@@ -350,7 +341,7 @@ def train(clips: list[AudioClip], train_cfg: TrainConfig,
                 f"{clip.clip_id}: anomalous clip in training data")
 
     dsp_cfg = dsp_cfg or SpectrogramConfig()
-    dtype = np.float32 if train_cfg.precision == "f32" else np.float64
+    dtype = precision_dtype(train_cfg.precision)
     prep = prepare_clips(clips, dsp_cfg, dtype)
 
     base_cfg = model_cfg or ModelConfig()
@@ -360,7 +351,8 @@ def train(clips: list[AudioClip], train_cfg: TrainConfig,
                   num_groups=prep.table.max_groups,
                   dtype=train_cfg.precision)
     model = GrhdModel(cfg, seed=train_cfg.seed)
-    params = [t for _, t in model.parameters()]
+    named_params = model.parameters()
+    params = [t for _, t in named_params]
     state = ad.AdamState(lr=train_cfg.lr)
     class_weights = inverse_frequency_weights(prep.table, dtype=dtype)
 
@@ -393,6 +385,11 @@ def train(clips: list[AudioClip], train_cfg: TrainConfig,
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                      for p in params]
             ad.adam_step(params, grads, state)
+            for name, p in named_params:
+                if not np.isfinite(p.data).all():
+                    raise DivergenceDetected(
+                        f"non-finite parameter {name} after the Adam step "
+                        f"at epoch {epoch}")
             sums += np.array([bd.l_rev, bd.l_sec, bd.l_att,
                               bd.l_total]) * idx.size
         means = sums / n
@@ -405,35 +402,37 @@ def train(clips: list[AudioClip], train_cfg: TrainConfig,
                        train_cfg=train_cfg)
 
 
-def embed(model: GrhdModel, prep: PreparedBatchSet,
-          batch_size: int = 64) -> dict[str, np.ndarray]:
-    """Pooled (z_rev, z_sec, z_att) embeddings per clip, eval mode."""
-    outs = {"z_rev": [], "z_sec": [], "z_att": []}
+def _eval_forward(model: GrhdModel, prep: PreparedBatchSet,
+                  batch_size: int) -> dict[str, np.ndarray]:
+    """The eval-mode batch loop: pooled z_rev, z_sec, z_att and the
+    section logits, one row per clip."""
+    outs = {"z_rev": [], "z_sec": [], "z_att": [], "logits_sec": []}
     n = prep.waves.shape[0]
     for start in range(0, n, batch_size):
         sl = slice(start, start + batch_size)
         wave = ad.Tensor(prep.waves[sl])
         spec = ad.Tensor(prep.specs[sl])
         z_rev = model.backbone_forward(wave, spec, train=False)
-        _, z_sec, _, z_att, _ = model.heads_forward(z_rev, 0.0, train=False)
-        outs["z_rev"].append(z_rev.data.mean(axis=(2, 3)))
-        outs["z_sec"].append(z_sec.data.mean(axis=(2, 3)))
-        outs["z_att"].append(z_att.data.mean(axis=(2, 3)))
+        _, z_sec, logits_sec, z_att, _ = model.heads_forward(
+            z_rev, 0.0, train=False)
+        for key, z in (("z_rev", z_rev), ("z_sec", z_sec), ("z_att", z_att)):
+            outs[key].append(z.data.mean(axis=(2, 3)))
+        outs["logits_sec"].append(logits_sec.data)
     return {k: np.concatenate(v) for k, v in outs.items()}
+
+
+def embed(model: GrhdModel, prep: PreparedBatchSet,
+          batch_size: int = 64) -> dict[str, np.ndarray]:
+    """Pooled (z_rev, z_sec, z_att) embeddings per clip, eval mode."""
+    outs = _eval_forward(model, prep, batch_size)
+    del outs["logits_sec"]
+    return outs
 
 
 def section_logits(model: GrhdModel, prep: PreparedBatchSet,
                    batch_size: int = 64) -> np.ndarray:
     """Eval-mode section-classifier logits, one row per clip."""
-    rows = []
-    n = prep.waves.shape[0]
-    for start in range(0, n, batch_size):
-        sl = slice(start, start + batch_size)
-        wave = ad.Tensor(prep.waves[sl])
-        spec = ad.Tensor(prep.specs[sl])
-        _, _, logits_sec, _, _ = model.forward(wave, spec, 0.0, train=False)
-        rows.append(logits_sec.data)
-    return np.concatenate(rows)
+    return _eval_forward(model, prep, batch_size)["logits_sec"]
 
 
 def _tiny_config(num_sections: int = 2, num_groups: int = 3) -> ModelConfig:
@@ -493,6 +492,11 @@ def grl_sign_check(seed: int = 0, lam: float = 0.5) -> float:
     Backbone gradients of the reversal-head loss with intensity lam must
     equal exactly -lam times the gradients with the reversal node replaced
     by identity.  Returns the max relative deviation.
+
+    The deviation is measured against max(|a|, |b|, 1e-6), not rel_err's
+    1e-3 floor: the -lam rule holds exactly up to rounding, so any larger
+    deviation is a fault, and a 1e-3 floor would hide one on the small
+    backbone gradients of this tiny network.
     """
     rng = np.random.default_rng(seed)
     cfg = _tiny_config()

@@ -3,11 +3,11 @@
 Fast numerical criteria run first; the desk-scale pipeline (synthesize,
 train three seeds per machine at two reversal strengths, evaluate) backs
 the training-dynamics criteria and is shared by them through a module
-fixture.  Verdict lines are written to the real stdout so they stay
-visible under pytest capture.
+fixture.  Each test records its verdict line as a `verdict` user property;
+tests/conftest.py prints them in the terminal summary, where pytest's
+output capture does not hide them.
 """
 
-import sys
 import time
 from pathlib import Path
 
@@ -25,26 +25,25 @@ MACHINES = ("toycar", "fan")
 SEEDS = (1, 2, 3)
 
 
-def verdict(criterion, ok, detail):
-    line = f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {detail}"
-    sys.__stdout__.write(line + "\n")
-    sys.__stdout__.flush()
+def verdict(record_property, criterion, ok, detail):
+    status = "PASS" if ok else "FAIL"
+    record_property("verdict", f"{status} criterion {criterion}: {detail}")
     return ok
 
 
 # ------------------------------------------------------- fast criteria ------
 
-def test_criterion_1_grl_twin_rule():
+def test_criterion_1_grl_twin_rule(record_property):
     start = time.monotonic()
     worst = max(grl_twin_check(seed=s) for s in range(20))
     elapsed = time.monotonic() - start
     ok = worst < 1e-9 and elapsed < 10.0
-    assert verdict(1, ok,
+    assert verdict(record_property, 1, ok,
                    f"reversal twin rule, 20 seeds: max_rel_err={worst:.3e} "
                    f"(tol 1e-09) in {elapsed:.1f}s (limit 10s)")
 
 
-def test_criterion_2_finite_difference_gate():
+def test_criterion_2_finite_difference_gate(record_property):
     start = time.monotonic()
     report = run_suite(seed=0)
     suite_worst = max(c.max_rel_err for c in report.checks)
@@ -52,13 +51,13 @@ def test_criterion_2_finite_difference_gate():
     elapsed = time.monotonic() - start
     worst = max(suite_worst, net_worst)
     ok = report.passed and worst < 1e-6 and elapsed < 60.0
-    assert verdict(2, ok,
+    assert verdict(record_property, 2, ok,
                    f"finite differences, op suite + assembled network: "
                    f"max_rel_err={worst:.3e} (tol 1e-06) in {elapsed:.1f}s "
                    f"(limit 60s)")
 
 
-def test_criterion_3_focal_zero_equals_ce():
+def test_criterion_3_focal_zero_equals_ce(record_property):
     rng = np.random.default_rng(0)
     ok = True
     for _ in range(100):
@@ -74,12 +73,13 @@ def test_criterion_3_focal_zero_equals_ce():
                 not np.array_equal(a.grad, b.grad):
             ok = False
             break
-    assert verdict(3, ok, "focal loss with focusing parameter 0 is bitwise "
-                          "identical to cross-entropy over 100 batches "
-                          "(values and gradients)")
+    assert verdict(record_property, 3, ok,
+                   "focal loss with focusing parameter 0 is bitwise "
+                   "identical to cross-entropy over 100 batches "
+                   "(values and gradients)")
 
 
-def test_criterion_4_ranking_metrics_vs_brute_force():
+def test_criterion_4_ranking_metrics_vs_brute_force(record_property):
     def brute_auc(normals, anomalies):
         wins = 0.0
         for a in anomalies:
@@ -100,21 +100,22 @@ def test_criterion_4_ranking_metrics_vs_brute_force():
         if pauc(normals, anomalies, p=1.0) != auc(normals, anomalies):
             ok = False
             break
-    assert verdict(4, ok, "auc matches the exhaustive pair-counting oracle "
-                          "on 200 tie-heavy score sets and pauc(p=1) "
-                          "equals auc exactly")
+    assert verdict(record_property, 4, ok,
+                   "auc matches the exhaustive pair-counting oracle "
+                   "on 200 tie-heavy score sets and pauc(p=1) "
+                   "equals auc exactly")
 
 
-def test_criterion_5_harmonic_mean_reference_totals():
+def test_criterion_5_harmonic_mean_reference_totals(record_property):
     first = harmonic_mean([84.64, 72.43, 68.82])
     second = harmonic_mean([77.46, 61.68, 61.06])
     ok = abs(first - 74.72) <= 0.01 and abs(second - 65.93) <= 0.01
-    assert verdict(5, ok,
+    assert verdict(record_property, 5, ok,
                    f"harmonic totals {first:.2f} (want 74.72 +/- 0.01) and "
                    f"{second:.2f} (want 65.93 +/- 0.01)")
 
 
-def test_criterion_6_schedule_identities():
+def test_criterion_6_schedule_identities(record_property):
     anneal_ok = all(ad.cosine_anneal(lr0, 0.0, 0, total) == lr0
                     for lr0 in (0.001, 0.01, 0.5)
                     for total in (1, 10, 150))
@@ -123,16 +124,18 @@ def test_criterion_6_schedule_identities():
     values = [lambda_schedule(float(p)) for p in grid]
     monotone = all(b > a for a, b in zip(values, values[1:]))
     ok = anneal_ok and ramp_zero and monotone
-    assert verdict(6, ok, "cosine_anneal returns lr0 exactly at epoch 0, "
-                          "lambda_schedule(0) = 0 and the ramp is strictly "
-                          "increasing on a 1000-point grid")
+    assert verdict(record_property, 6, ok,
+                   "cosine_anneal returns lr0 exactly at epoch 0, "
+                   "lambda_schedule(0) = 0 and the ramp is strictly "
+                   "increasing on a 1000-point grid")
 
 
-def test_criterion_10_readme_scale_statement():
+def test_criterion_10_readme_scale_statement(record_property):
     readme = (REPO_ROOT / "README.md").read_text().lower()
     ok = "not reproducible" in readme and "dcase" in readme
-    assert verdict(10, ok, "README states that published DCASE-scale "
-                           "results are not reproducible at desk scale")
+    assert verdict(record_property, 10, ok,
+                   "README states that published DCASE-scale "
+                   "results are not reproducible at desk scale")
 
 
 # --------------------------------------------------- desk-scale pipeline ----
@@ -209,7 +212,8 @@ def pipeline(tmp_path_factory):
     return {"root": root, "data": data, "runs": runs, "elapsed": elapsed}
 
 
-def test_criterion_7_training_convergence_and_detection(pipeline):
+def test_criterion_7_training_convergence_and_detection(pipeline,
+                                                        record_property):
     runs = pipeline["runs"]
     ratios = []
     for machine in MACHINES:
@@ -235,10 +239,11 @@ def test_criterion_7_training_convergence_and_detection(pipeline):
                        for m, v in means.items()) +
               f" (limits 0.90/0.80); pipeline {pipeline['elapsed']:.0f}s "
               f"(limit 900s)")
-    assert verdict("7", converged and detects and in_budget, detail)
+    assert verdict(record_property, "7",
+                   converged and detects and in_budget, detail)
 
 
-def test_criterion_8_reversal_helps_target_domain(pipeline):
+def test_criterion_8_reversal_helps_target_domain(pipeline, record_property):
     runs = pipeline["runs"]
 
     def mean_target(alpha):
@@ -248,12 +253,12 @@ def test_criterion_8_reversal_helps_target_domain(pipeline):
     with_grl = mean_target(1.0)
     without = mean_target(0.0)
     ok = with_grl >= without
-    assert verdict(8, ok,
+    assert verdict(record_property, 8, ok,
                    f"3-seed mean target AUC with reversal {with_grl:.3f} >= "
                    f"without {without:.3f}")
 
 
-def test_criterion_9_bitwise_determinism(pipeline):
+def test_criterion_9_bitwise_determinism(pipeline, record_property):
     data = pipeline["data"]
     root = pipeline["root"]
     first = pipeline["runs"][("toycar", 1, 1.0)]
@@ -268,6 +273,6 @@ def test_criterion_9_bitwise_determinism(pipeline):
         again.with_suffix(".loss.csv").read_bytes()
     report_same = first["report"].read_bytes() == report_again.read_bytes()
     ok = ckpt_same and log_same and report_same
-    assert verdict(9, ok,
+    assert verdict(record_property, 9, ok,
                    f"repeat run byte-identical: checkpoint={ckpt_same} "
                    f"loss_log={log_same} report={report_same}")

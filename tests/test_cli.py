@@ -116,6 +116,31 @@ def test_unknown_config_key_fatal(trained, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_train_unknown_precision_fails_before_decoding(trained, capsys,
+                                                      monkeypatch):
+    from grhd import dataset
+
+    root, data, _ = trained
+    cfg = root / "f16.cfg"
+    cfg.write_text("precision = f16\n")
+    reads = []
+    read = dataset.wavfile.read
+
+    def counting(path, *args, **kwargs):
+        reads.append(path)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataset.wavfile, "read", counting)
+    code = main(["train", "--data", str(data), "--machine", "toycar",
+                 "--config", str(cfg), "--out", str(root / "f16.ckpt"),
+                 "--seed", "1", "--epochs", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'f16'" in err
+    assert reads == []
+    assert not (root / "f16.ckpt").exists()
+
+
 def test_train_unknown_machine_fails(trained, capsys):
     root, data, _ = trained
     code = main(["train", "--data", str(data), "--machine", "gearbox",

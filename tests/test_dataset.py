@@ -1,4 +1,4 @@
-"""Filename parsing, WAV ingestion, attribute grouping, corpus splitting."""
+"""Filename parsing, WAV ingestion, attribute grouping."""
 
 import numpy as np
 import pytest
@@ -8,22 +8,18 @@ from scipy.io import wavfile
 from grhd import dataset
 from grhd.dataset import (
     AttributeGroupTable,
-    AudioClip,
     ClipMetadata,
     Condition,
     Domain,
     Split,
-    SplitPolicy,
     build_attribute_groups,
     load_corpus_dir,
     load_wav,
     parse_clip_metadata,
-    split_corpus,
     write_wav,
 )
 from grhd.errors import (
     ContractViolation,
-    EmptySplit,
     MalformedFilename,
     UnsupportedFormat,
 )
@@ -195,7 +191,7 @@ def _meta(section, attrs, split=Split.TRAIN, domain=Domain.SOURCE,
 def test_identical_combination_single_group():
     table = build_attribute_groups([
         _meta(0, (("spd", "28V"),)), _meta(0, (("spd", "28V"),))])
-    assert table.num_groups(0) == 1
+    assert len(table.groups[0]) == 1
     assert table.counts[0][0] == 2
 
 
@@ -209,12 +205,12 @@ def test_distinct_combinations_lexicographic():
 def test_multi_attribute_combination_is_one_group():
     attrs = (("Spd", "28V"), ("Car", "A1"), ("Mic", "1"), ("Noise", "1"))
     table = build_attribute_groups([_meta(0, attrs)])
-    assert table.num_groups(0) == 1
+    assert len(table.groups[0]) == 1
 
 
 def test_empty_attrs_form_their_own_group():
     table = build_attribute_groups([_meta(0, ()), _meta(0, (("a", "1"),))])
-    assert table.num_groups(0) == 2
+    assert len(table.groups[0]) == 2
 
 
 @given(st.permutations(list(range(8))))
@@ -231,7 +227,6 @@ def test_label_counts_sum_across_sections():
     table = build_attribute_groups(metas)
     assert table.max_groups == 2
     assert table.label_counts().tolist() == [4, 4]
-    assert table.total_groups == 4
 
 
 def test_table_dict_round_trip():
@@ -240,39 +235,3 @@ def test_table_dict_round_trip():
     clone = AttributeGroupTable.from_dict(table.to_dict())
     assert clone.groups == table.groups
     assert clone.counts == table.counts
-
-
-def _clip(meta, clip_id="c"):
-    return AudioClip(samples=np.zeros(32), sample_rate=16000,
-                     metadata=meta, clip_id=clip_id)
-
-
-def test_split_corpus_counts():
-    corpus = [_clip(_meta(0, ())) for _ in range(10)]
-    corpus += [_clip(_meta(0, (), split=Split.TEST,
-                           condition=Condition.ANOMALY)) for _ in range(4)]
-    train, test = split_corpus(corpus, SplitPolicy())
-    assert (len(train), len(test)) == (10, 4)
-
-
-def test_split_corpus_train_anomaly_rejected():
-    bad = ClipMetadata(machine_type="m", section_id=0, domain=Domain.SOURCE,
-                       split=Split.TRAIN, condition=Condition.ANOMALY,
-                       attributes=())
-    with pytest.raises(ContractViolation):
-        split_corpus([_clip(bad)], SplitPolicy())
-
-
-def test_split_corpus_empty_side():
-    with pytest.raises(EmptySplit):
-        split_corpus([_clip(_meta(0, ()))], SplitPolicy())
-
-
-def test_split_policy_subsample_deterministic():
-    corpus = [_clip(_meta(0, ()), clip_id=f"c{i}") for i in range(20)]
-    corpus += [_clip(_meta(0, (), split=Split.TEST)) for _ in range(2)]
-    policy = SplitPolicy(train_fraction=0.5, seed=7)
-    first, _ = split_corpus(corpus, policy)
-    second, _ = split_corpus(corpus, policy)
-    assert [c.clip_id for c in first] == [c.clip_id for c in second]
-    assert len(first) == 10

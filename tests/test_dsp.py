@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grhd.dsp import (
-    LogMelSpectrogram,
     SpectrogramConfig,
     log_mel,
     mel_filterbank,
@@ -114,16 +113,17 @@ def test_config_validation():
 
 def test_log_mel_shape_and_floor():
     out = log_mel(np.zeros(16000), CFG, SR)
-    assert out.values.shape == (128, 30)
-    np.testing.assert_array_equal(out.values, np.log(CFG.log_floor))
+    assert out.shape == (128, 30)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, np.log(CFG.log_floor))
 
 
 def test_log_mel_amplitude_scaling():
     """Doubling the amplitude adds log(4) to every unfloored cell."""
     rng = np.random.default_rng(1)
     x = 0.1 * rng.standard_normal(4096)
-    lo = log_mel(x, CFG, SR).values
-    hi = log_mel(2.0 * x, CFG, SR).values
+    lo = log_mel(x, CFG, SR)
+    hi = log_mel(2.0 * x, CFG, SR)
     active = lo > np.log(CFG.log_floor) + 1e-6
     assert active.any()
     np.testing.assert_allclose(hi[active] - lo[active], np.log(4.0),
@@ -133,52 +133,72 @@ def test_log_mel_amplitude_scaling():
 def test_log_mel_tone_lands_in_right_bin():
     t = np.arange(16000) / SR
     out = log_mel(0.5 * np.sin(2 * np.pi * 1000.0 * t), CFG, SR)
-    peak_bin = int(np.argmax(out.values.mean(axis=1)))
+    peak_bin = int(np.argmax(out.mean(axis=1)))
     center = mel_mel_to_hz(np.linspace(
         mel_hz_to_mel(0.0), mel_hz_to_mel(SR / 2), 130))[peak_bin + 1]
     assert abs(center - 1000.0) < 150.0
 
 
+def _specs(seed, n):
+    rng = np.random.default_rng(seed)
+    return np.stack([log_mel(0.2 * rng.standard_normal(4096), CFG, SR)
+                     for _ in range(n)])
+
+
 def test_standardize_zero_mean_unit_std():
-    rng = np.random.default_rng(2)
-    specs = [log_mel(0.2 * rng.standard_normal(4096), CFG, SR)
-             for _ in range(4)]
-    normed, stats = standardize(specs)
-    stacked = np.concatenate([s.values for s in normed], axis=1)
-    np.testing.assert_allclose(stacked.mean(axis=1), 0.0, atol=1e-12)
+    specs = _specs(2, 4)
+    stats = standardize(specs)
+    flat = np.concatenate(list(specs), axis=1)
+    np.testing.assert_allclose(flat.mean(axis=1), 0.0, atol=1e-12)
     active = ~stats.degenerate_bins
-    np.testing.assert_allclose(stacked.std(axis=1)[active], 1.0, rtol=1e-10)
+    np.testing.assert_allclose(flat.std(axis=1)[active], 1.0, rtol=1e-10)
+
+
+def test_standardize_matches_concatenated_reduction_bitwise():
+    """Stats and values equal, bit for bit, the per-bin reduction over the
+    [mels, N * frames] concatenation of the clips; a reduction over axes
+    (0, 2) of the stack rounds differently in dozens of bins."""
+    specs = _specs(5, 7)
+    flat = np.concatenate(list(specs), axis=1)
+    mean, std = flat.mean(axis=1), flat.std(axis=1)
+    expect = [(s - mean[:, None]) / std[:, None] for s in specs]
+    stats = standardize(specs)
+    np.testing.assert_array_equal(stats.mean, mean)
+    np.testing.assert_array_equal(stats.std, std)
+    np.testing.assert_array_equal(specs, np.stack(expect))
 
 
 def test_standardize_degenerate_bins_flagged():
-    spec = LogMelSpectrogram(values=np.zeros((4, 6)), config=CFG)
-    normed, stats = standardize([spec])
+    specs = np.zeros((1, 4, 6))
+    stats = standardize(specs)
     assert stats.degenerate_bins.all()
     np.testing.assert_array_equal(stats.std, 1.0)
-    np.testing.assert_array_equal(normed[0].values, 0.0)
+    np.testing.assert_array_equal(specs, 0.0)
 
 
 def test_standardize_reapplies_given_stats():
-    rng = np.random.default_rng(3)
-    specs = [log_mel(0.2 * rng.standard_normal(4096), CFG, SR)
-             for _ in range(3)]
-    _, stats = standardize(specs)
-    again, stats2 = standardize(specs, stats=stats)
-    assert stats2 is stats
+    specs = _specs(3, 3)
+    stats = standardize(specs.copy())
+    again = specs.copy()
+    assert standardize(again, stats=stats) is stats
     # applying the frozen stats to new data uses them as-is
-    one, _ = standardize(specs[:1], stats=stats)
-    np.testing.assert_array_equal(one[0].values, again[0].values)
+    one = specs[:1].copy()
+    standardize(one, stats=stats)
+    np.testing.assert_array_equal(one[0], again[0])
 
 
 def test_standardize_empty_rejected():
     with pytest.raises(InvalidConfig):
-        standardize([])
+        standardize(np.zeros((0, 128, 30)))
+
+
+def test_standardize_unstacked_rejected():
+    with pytest.raises(InvalidConfig):
+        standardize(np.zeros((128, 30)))
 
 
 def test_stats_array_round_trip():
-    rng = np.random.default_rng(4)
-    specs = [log_mel(0.2 * rng.standard_normal(4096), CFG, SR)]
-    _, stats = standardize(specs)
+    stats = standardize(_specs(4, 1))
     clone = type(stats).from_arrays(stats.to_arrays())
     np.testing.assert_array_equal(clone.mean, stats.mean)
     np.testing.assert_array_equal(clone.std, stats.std)

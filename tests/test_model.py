@@ -7,6 +7,7 @@ from grhd import autodiff as ad
 from grhd.dataset import build_attribute_groups
 from grhd.errors import (
     ContractViolation,
+    DivergenceDetected,
     InvalidConfig,
     InvalidSchedule,
     NoTrainingData,
@@ -24,6 +25,7 @@ from grhd.model import (
     inverse_frequency_weights,
     lambda_schedule,
     loss_log_csv_rows,
+    precision_dtype,
     prepare_clips,
     section_logits,
     train,
@@ -291,6 +293,21 @@ def test_train_sizes_heads_from_data():
     assert result.sections == [0, 1]
 
 
+def test_train_config_rejects_unknown_precision():
+    assert precision_dtype("f32") is np.float32
+    assert precision_dtype("f64") is np.float64
+    with pytest.raises(InvalidConfig, match="f16"):
+        TrainConfig(precision="f16")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_train_stops_on_non_finite_parameters():
+    # One step per epoch: its loss is finite, the huge step is not.
+    with pytest.raises(DivergenceDetected, match="non-finite parameter t1.w"):
+        train(tiny_corpus(), TrainConfig(epochs=1, batch_size=64, lr=1e300))
+
+
 # ------------------------------------------------------------- inference ----
 
 def test_embed_row_counts_and_keys():
@@ -319,6 +336,47 @@ def test_section_logits_shape_and_determinism():
     # bitwise repeatable for a fixed batch size (f32 GEMMs are only
     # reproducible, not batching-invariant)
     np.testing.assert_array_equal(logits, section_logits(result.model, prep))
+
+
+def test_eval_loop_matches_forward_on_uneven_batches():
+    clips = tiny_corpus()
+    result = train(clips, TrainConfig(epochs=1, batch_size=4))
+    model = result.model
+    prep = prepare_clips(clips[:5], result.dsp_cfg, np.float32,
+                         table=result.table, stats=result.stats,
+                         sections=result.sections)
+    logits, pooled = [], {"z_rev": [], "z_sec": [], "z_att": []}
+    for sl in (slice(0, 2), slice(2, 4), slice(4, 5)):
+        wave, spec = ad.Tensor(prep.waves[sl]), ad.Tensor(prep.specs[sl])
+        out = model.forward(wave, spec, 0.0, train=False)
+        logits.append(out[2].data)
+        z_rev = model.backbone_forward(wave, spec, train=False)
+        for key, z in (("z_rev", z_rev), ("z_sec", out[1]),
+                       ("z_att", out[3])):
+            pooled[key].append(z.data.mean(axis=(2, 3)))
+    np.testing.assert_array_equal(
+        section_logits(model, prep, batch_size=2), np.concatenate(logits))
+    vectors = embed(model, prep, batch_size=2)
+    assert set(vectors) == set(pooled)
+    for key, parts in pooled.items():
+        np.testing.assert_array_equal(vectors[key], np.concatenate(parts))
+
+
+def test_prepare_clips_stacks_in_model_dtype():
+    from grhd.dsp import SpectrogramConfig, log_mel, standardize
+
+    clips = tiny_corpus()[:3]
+    cfg = SpectrogramConfig()
+    for dtype in (np.float32, np.float64):
+        prep = prepare_clips(clips, cfg, dtype)
+        assert prep.waves.dtype == dtype and prep.specs.dtype == dtype
+        np.testing.assert_array_equal(
+            prep.waves[:, 0], np.stack([c.samples for c in clips])
+            .astype(dtype))
+        specs = np.stack([log_mel(c.samples, cfg, c.sample_rate)
+                          for c in clips])
+        standardize(specs, prep.stats)
+        np.testing.assert_array_equal(prep.specs, specs.astype(dtype))
 
 
 def test_prepare_clips_mixed_lengths_rejected():
