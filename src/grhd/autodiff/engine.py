@@ -5,14 +5,37 @@ accumulates gradients additively across fan-out.  The gradient reversal node
 is an identity in the forward pass and multiplies the upstream gradient by
 -lambda in the backward pass.  Gradients are computed only for parents with
 `requires_grad`: an op may return None for the others, and `backward`
-skips them.
+skips them.  A node that needs no gradient keeps neither its parents nor
+its backward closure; inside `no_grad` that holds for every op output, so
+an inference pass builds no graph at all.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from ..errors import InvalidConfig, ShapeMismatch
+from ..errors import InvalidConfig, NoGradient, ShapeMismatch
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Inference mode: op outputs inside the block need no gradient.
+
+    They keep no parents and no backward closure, so each op's inputs and
+    the buffers its closure would hold (im2col columns, activations) are
+    freed as soon as the next op has read them.  The previous mode is
+    restored on exit, also when the block raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -22,10 +45,14 @@ class Tensor:
                  _backward=None):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(
-            p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        self.requires_grad = requires_grad or (_grad_enabled and any(
+            p.requires_grad for p in _parents))
+        if self.requires_grad:
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -42,6 +69,10 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
+        if not self.requires_grad:
+            raise NoGradient(
+                "backward through a tensor that needs no gradient (built "
+                "under no_grad or from constants only)")
         if grad is None:
             if self.data.size != 1:
                 raise ShapeMismatch(

@@ -19,9 +19,11 @@ from .model import (
     embed,
     loss_log_csv_rows,
     model_gradcheck,
-    prepare_clips,
     train,
 )
+# Not called here: perfbench's tracer wraps `prepare_clips` in every module
+# that imports it, this one included.
+from .model import prepare_clips  # noqa: F401
 from .synth import SynthConfig, write_corpus
 
 
@@ -142,13 +144,11 @@ def cmd_eval(args) -> int:
         if run.scorer == "knn":
             train_clips = [c for c in clips
                            if c.metadata.split is Split.TRAIN]
-            prep = prepare_clips(train_clips, ckpt.dsp_cfg,
-                                 model.cfg.np_dtype(), table=ckpt.table,
-                                 stats=ckpt.stats, sections=ckpt.sections)
-            bank = embed(model, prep)["z_att"]
+            bank = embed(model, train_clips, ckpt.dsp_cfg,
+                         ckpt.stats)["z_att"]
         _, scored = evaluate(model, test_clips, ckpt.dsp_cfg, ckpt.stats,
-                             ckpt.table, ckpt.sections, scorer=run.scorer,
-                             p=run.p, bank=bank, knn_k=run.knn_k)
+                             ckpt.sections, scorer=run.scorer, p=run.p,
+                             bank=bank, knn_k=run.knn_k)
         all_scored.extend(scored)
     report = build_report(all_scored, p=run.p)
     report.write_csv(args.out)
@@ -167,23 +167,20 @@ def cmd_embed(args) -> int:
     clips = load_corpus_dir(args.data, machine_type=machine)
     if not clips:
         raise NoTrainingData(f"no clips for machine {machine!r}")
-    prep = prepare_clips(clips, ckpt.dsp_cfg, model.cfg.np_dtype(),
-                         table=ckpt.table, stats=ckpt.stats,
-                         sections=ckpt.sections)
-    vectors = embed(model, prep)
+    vectors = embed(model, clips, ckpt.dsp_cfg, ckpt.stats)
     header = ["clip", "machine", "section", "domain", "condition"]
     for kind in ("z_rev", "z_sec", "z_att"):
         header += [f"{kind}_{i}" for i in range(vectors[kind].shape[1])]
-    lines = [",".join(header)]
-    for i, clip in enumerate(prep.clips):
-        m = clip.metadata
-        row = [clip.clip_id, m.machine_type, str(m.section_id),
-               m.domain.value, m.condition.value]
-        for kind in ("z_rev", "z_sec", "z_att"):
-            row += [repr(float(x)) for x in vectors[kind][i]]
-        lines.append(",".join(row))
-    Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(prep.clips)} embedding rows to {args.out}")
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, clip in enumerate(clips):
+            m = clip.metadata
+            row = [clip.clip_id, m.machine_type, str(m.section_id),
+                   m.domain.value, m.condition.value]
+            for kind in ("z_rev", "z_sec", "z_att"):
+                row += [repr(float(x)) for x in vectors[kind][i]]
+            fh.write(",".join(row) + "\n")
+    print(f"wrote {len(clips)} embedding rows to {args.out}")
     return 0
 
 

@@ -86,6 +86,21 @@ class AudioClip:
     clip_id: str = ""
 
 
+@dataclass(frozen=True)
+class ClipRecord:
+    """A listed WAV file, not yet decoded: its path and filename metadata."""
+
+    path: Path
+    metadata: ClipMetadata
+
+    @property
+    def clip_id(self) -> str:
+        return self.path.stem
+
+    def load(self) -> AudioClip:
+        return load_wav(self.path, self.metadata)
+
+
 _NAME_RE = re.compile(r"^section_(\d+)_(source|target)_(train|test)(?:_(.*))?$")
 _SPLIT_DIRS = {"train", "test", "source", "target", "dev", "eval"}
 
@@ -153,10 +168,13 @@ def parse_clip_metadata(filename: str | Path) -> ClipMetadata:
     )
 
 
-def load_wav(path: str | Path) -> AudioClip:
+def load_wav(path: str | Path,
+             metadata: ClipMetadata | None = None) -> AudioClip:
     """Load a mono PCM16 or float32 WAV file, normalized to [-1, 1].
 
     Stereo files and unknown encodings are rejected rather than down-mixed.
+    The clip's labels are ``metadata`` when given (already parsed from this
+    path), else parsed from the filename.
     """
     path = Path(path)
     if not path.exists():
@@ -178,9 +196,10 @@ def load_wav(path: str | Path) -> AudioClip:
         raise UnsupportedFormat(f"{path}: unsupported sample dtype {data.dtype}")
     if samples.size == 0:
         raise UnsupportedFormat(f"{path}: empty audio")
-    meta = parse_clip_metadata(path)
+    if metadata is None:
+        metadata = parse_clip_metadata(path)
     return AudioClip(samples=samples, sample_rate=int(sample_rate),
-                     metadata=meta, clip_id=path.stem)
+                     metadata=metadata, clip_id=path.stem)
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int) -> None:
@@ -274,23 +293,21 @@ def write_manifest(path: str | Path, clips: Iterable[AudioClip],
 
 
 def load_corpus_dir(data_dir: str | Path, machine_type: str | None = None,
-                    split: Split | None = None) -> list[AudioClip]:
-    """Load every WAV under a directory tree, optionally filtered by machine
-    and split.
+                    split: Split | None = None) -> list[ClipRecord]:
+    """List every WAV under a directory tree, optionally filtered by machine
+    and split, in path order.
 
-    Every filename is parsed first, so a malformed name anywhere under the
-    root is an error; only the files that pass the filters are decoded.
+    Every filename is parsed, once, so a malformed name anywhere under the
+    root is an error.  Nothing is decoded here: each record carries its
+    metadata to `ClipRecord.load`.
     """
     root = Path(data_dir)
     if not root.is_dir():
         raise IoError(f"not a directory: {root}")
-
-    def wanted(meta: ClipMetadata) -> bool:
-        return (machine_type is None or meta.machine_type == machine_type) \
-            and (split is None or meta.split is split)
-
-    paths = sorted(root.rglob("*.wav"))
-    # One flag per path, not its metadata: holding every path's parsed
-    # record raised the peak RSS of `grhd embed` by ~1.4 MB.
-    keep = [wanted(parse_clip_metadata(path)) for path in paths]
-    return [load_wav(path) for path, k in zip(paths, keep) if k]
+    records = []
+    for path in sorted(root.rglob("*.wav")):
+        meta = parse_clip_metadata(path)
+        if (machine_type is None or meta.machine_type == machine_type) and \
+                (split is None or meta.split is split):
+            records.append(ClipRecord(path, meta))
+    return records

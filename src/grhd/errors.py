@@ -45,6 +45,10 @@ class DivergenceDetected(GrhdError):
     pass
 
 
+class NoGradient(GrhdError):
+    pass
+
+
 class UnknownSection(GrhdError):
     pass
 

@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import AudioClip, ClipMetadata, Condition, Domain
+from .dataset import AudioClip, ClipMetadata, ClipRecord, Condition, Domain
+from .dsp import SpectrogramConfig, StandardStats
 from .errors import (
     DegenerateLabels,
     EmptyBank,
@@ -33,13 +34,10 @@ from .errors import (
     NonpositiveValue,
     UnknownSection,
 )
-from .model import (
-    GrhdModel,
-    PreparedBatchSet,
-    embed,
-    prepare_clips,
-    section_logits,
-)
+from .model import GrhdModel, embed, section_logits
+# Not called here: perfbench's tracer wraps `prepare_clips` in every module
+# that imports it, this one included.
+from .model import prepare_clips  # noqa: F401
 
 EVAL_CSV_HEADER = ["machine", "section", "domain", "metric", "value"]
 
@@ -226,22 +224,25 @@ def build_report(scored: Sequence[ScoredClip], p: float = 0.1) -> EvalReport:
     return report
 
 
-def score_nls(model: GrhdModel, prep: PreparedBatchSet) -> list[ScoredClip]:
+def score_nls(model: GrhdModel, clips: Sequence[AudioClip | ClipRecord],
+              dsp_cfg: SpectrogramConfig, stats: StandardStats,
+              sections: list[int]) -> list[ScoredClip]:
     """Negative log softmax probability of the clip's true section."""
-    logits = section_logits(model, prep)
-    sec_index = {s: i for i, s in enumerate(prep.sections)}
-    scored = []
-    for i, clip in enumerate(prep.clips):
-        section = clip.metadata.section_id
-        if section not in sec_index:
+    sec_index = {s: i for i, s in enumerate(sections)}
+    for clip in clips:
+        if clip.metadata.section_id not in sec_index:
             raise UnknownSection(
-                f"{clip.clip_id}: section {section} unknown to the model")
-        z = logits[i].astype(np.float64)
+                f"{clip.clip_id}: section {clip.metadata.section_id} "
+                "unknown to the model")
+    logits = section_logits(model, clips, dsp_cfg, stats)
+    scored = []
+    for clip, row in zip(clips, logits):
+        z = row.astype(np.float64)
         z = z - z.max()
         log_probs = z - np.log(np.exp(z).sum())
         scored.append(ScoredClip(
             clip_id=clip.clip_id, metadata=clip.metadata,
-            score=float(-log_probs[sec_index[section]])))
+            score=float(-log_probs[sec_index[clip.metadata.section_id]])))
     return scored
 
 
@@ -263,30 +264,29 @@ def cosine_knn_scores(queries: np.ndarray, bank: np.ndarray,
     return dist[:, :k].mean(axis=1)
 
 
-def score_knn(model: GrhdModel, prep: PreparedBatchSet,
+def score_knn(model: GrhdModel, clips: Sequence[AudioClip | ClipRecord],
+              dsp_cfg: SpectrogramConfig, stats: StandardStats,
               bank: np.ndarray, k: int = 1) -> list[ScoredClip]:
     """Embedding-distance scorer over pooled attribute-head features."""
-    queries = embed(model, prep)["z_att"]
+    queries = embed(model, clips, dsp_cfg, stats)["z_att"]
     scores = cosine_knn_scores(queries, bank, k=k)
     return [ScoredClip(clip_id=c.clip_id, metadata=c.metadata,
                        score=float(s))
-            for c, s in zip(prep.clips, scores)]
+            for c, s in zip(clips, scores)]
 
 
-def evaluate(model: GrhdModel, test_clips: list[AudioClip],
-             dsp_cfg, stats, table, sections, scorer: str = "nls",
-             p: float = 0.1, bank: np.ndarray | None = None,
+def evaluate(model: GrhdModel, test_clips: Sequence[AudioClip | ClipRecord],
+             dsp_cfg: SpectrogramConfig, stats: StandardStats,
+             sections: list[int], scorer: str = "nls", p: float = 0.1,
+             bank: np.ndarray | None = None,
              knn_k: int = 1) -> tuple[EvalReport, list[ScoredClip]]:
     """Score a test corpus with a trained model and assemble the report."""
-    dtype = model.cfg.np_dtype()
-    prep = prepare_clips(test_clips, dsp_cfg, dtype, table=table,
-                         stats=stats, sections=sections)
     if scorer == "nls":
-        scored = score_nls(model, prep)
+        scored = score_nls(model, test_clips, dsp_cfg, stats, sections)
     elif scorer == "knn":
         if bank is None:
             raise EmptyBank("knn scorer needs a reference bank")
-        scored = score_knn(model, prep, bank, k=knn_k)
+        scored = score_knn(model, test_clips, dsp_cfg, stats, bank, k=knn_k)
     else:
         raise InvalidP(f"unknown scorer {scorer!r}")
     return build_report(scored, p=p), scored

@@ -11,13 +11,19 @@ the section features (hierarchy, not parallel heads).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import cosine_anneal
 from .autodiff.gradcheck import numeric_grad, rel_err
-from .dataset import AudioClip, AttributeGroupTable, build_attribute_groups
+from .dataset import (
+    AttributeGroupTable,
+    AudioClip,
+    ClipRecord,
+    build_attribute_groups,
+)
 from .dsp import SpectrogramConfig, StandardStats, log_mel, standardize
 from .errors import (
     ContractViolation,
@@ -253,43 +259,54 @@ def inverse_frequency_weights(table: AttributeGroupTable,
 
 @dataclass
 class PreparedBatchSet:
-    """Preprocessed training inputs for one machine type."""
+    """Preprocessed inputs for one machine type."""
 
     waves: np.ndarray       # [N, 1, T]
     specs: np.ndarray       # [N, mels, frames]
     sec_labels: np.ndarray  # [N]
     att_labels: np.ndarray  # [N]
-    clips: list[AudioClip]
+    clips: list[AudioClip | ClipRecord]
     sections: list[int]
     table: AttributeGroupTable
     stats: StandardStats
 
 
-def prepare_clips(clips: list[AudioClip], dsp_cfg: SpectrogramConfig,
-                  dtype, table: AttributeGroupTable | None = None,
+def prepare_clips(clips: Sequence[AudioClip | ClipRecord],
+                  dsp_cfg: SpectrogramConfig, dtype,
+                  table: AttributeGroupTable | None = None,
                   stats: StandardStats | None = None,
                   sections: list[int] | None = None) -> PreparedBatchSet:
-    """DSP frontend + label assembly for a homogeneous clip list."""
+    """DSP frontend + label assembly for a homogeneous clip list.
+
+    A listed `ClipRecord` is decoded here, one at a time, straight into the
+    wave stack, so the set holds no float64 copy of anyone's samples; its
+    `clips` are the items as given.
+    """
     if not clips:
         raise NoTrainingData("no clips to prepare")
-    lengths = {c.samples.size for c in clips}
-    rates = {c.sample_rate for c in clips}
-    if len(lengths) != 1 or len(rates) != 1:
-        raise ShapeMismatch(
-            "all clips in a batch set need one length and one sample rate")
-    sr = clips[0].sample_rate
-
-    specs = np.stack([log_mel(c.samples, dsp_cfg, sr) for c in clips])
+    n = len(clips)
+    waves = specs = None
+    for i, item in enumerate(clips):
+        clip = item.load() if isinstance(item, ClipRecord) else item
+        if waves is None:
+            sr = clip.sample_rate
+            waves = np.empty((n, 1, clip.samples.size), dtype=dtype)
+        elif clip.samples.size != waves.shape[2] or clip.sample_rate != sr:
+            raise ShapeMismatch(
+                "all clips in a batch set need one length and one sample rate")
+        waves[i, 0] = clip.samples
+        spec = log_mel(clip.samples, dsp_cfg, sr)
+        if specs is None:
+            specs = np.empty((n,) + spec.shape)
+        specs[i] = spec
     stats = standardize(specs, stats)
+    specs = specs.astype(dtype, copy=False)
 
     if table is None:
         table = build_attribute_groups([c.metadata for c in clips])
     if sections is None:
         sections = table.sections
     sec_index = {s: i for i, s in enumerate(sections)}
-
-    waves = np.stack([c.samples for c in clips], dtype=dtype)[:, None, :]
-    specs = specs.astype(dtype, copy=False)
     sec_labels = np.array(
         [sec_index.get(c.metadata.section_id, -1) for c in clips],
         dtype=np.int64)
@@ -303,7 +320,7 @@ def prepare_clips(clips: list[AudioClip], dsp_cfg: SpectrogramConfig,
     att_labels = np.array([att_label(c.metadata) for c in clips],
                           dtype=np.int64)
     return PreparedBatchSet(waves=waves, specs=specs, sec_labels=sec_labels,
-                            att_labels=att_labels, clips=clips,
+                            att_labels=att_labels, clips=list(clips),
                             sections=list(sections), table=table, stats=stats)
 
 
@@ -319,7 +336,7 @@ class TrainResult:
     train_cfg: TrainConfig
 
 
-def train(clips: list[AudioClip], train_cfg: TrainConfig,
+def train(clips: Sequence[AudioClip | ClipRecord], train_cfg: TrainConfig,
           dsp_cfg: SpectrogramConfig | None = None,
           model_cfg: ModelConfig | None = None) -> TrainResult:
     """Train one GRHD model on the (normal-only) clips of one machine type.
@@ -402,37 +419,52 @@ def train(clips: list[AudioClip], train_cfg: TrainConfig,
                        train_cfg=train_cfg)
 
 
-def _eval_forward(model: GrhdModel, prep: PreparedBatchSet,
+def _eval_forward(model: GrhdModel, clips: Sequence[AudioClip | ClipRecord],
+                  dsp_cfg: SpectrogramConfig, stats: StandardStats,
                   batch_size: int) -> dict[str, np.ndarray]:
     """The eval-mode batch loop: pooled z_rev, z_sec, z_att and the
-    section logits, one row per clip."""
+    section logits, one row per clip, in clip order.
+
+    Each batch is decoded, standardized with the given training stats and
+    forwarded under `no_grad`, so the peak memory is one batch's, whatever
+    the number of clips.
+    """
+    if not clips:
+        raise NoTrainingData("no clips to evaluate")
+    dtype = model.cfg.np_dtype()
     outs = {"z_rev": [], "z_sec": [], "z_att": [], "logits_sec": []}
-    n = prep.waves.shape[0]
-    for start in range(0, n, batch_size):
-        sl = slice(start, start + batch_size)
-        wave = ad.Tensor(prep.waves[sl])
-        spec = ad.Tensor(prep.specs[sl])
-        z_rev = model.backbone_forward(wave, spec, train=False)
-        _, z_sec, logits_sec, z_att, _ = model.heads_forward(
-            z_rev, 0.0, train=False)
-        for key, z in (("z_rev", z_rev), ("z_sec", z_sec), ("z_att", z_att)):
-            outs[key].append(z.data.mean(axis=(2, 3)))
-        outs["logits_sec"].append(logits_sec.data)
+    with ad.no_grad():
+        for start in range(0, len(clips), batch_size):
+            # The batch's labels come from its own table; eval reads none.
+            prep = prepare_clips(clips[start:start + batch_size], dsp_cfg,
+                                 dtype, stats=stats)
+            z_rev = model.backbone_forward(ad.Tensor(prep.waves),
+                                           ad.Tensor(prep.specs), train=False)
+            del prep  # the batch's inputs are not needed by the heads
+            _, z_sec, logits_sec, z_att, _ = model.heads_forward(
+                z_rev, 0.0, train=False)
+            for key, z in (("z_rev", z_rev), ("z_sec", z_sec),
+                           ("z_att", z_att)):
+                outs[key].append(z.data.mean(axis=(2, 3)))
+            outs["logits_sec"].append(logits_sec.data)
     return {k: np.concatenate(v) for k, v in outs.items()}
 
 
-def embed(model: GrhdModel, prep: PreparedBatchSet,
+def embed(model: GrhdModel, clips: Sequence[AudioClip | ClipRecord],
+          dsp_cfg: SpectrogramConfig, stats: StandardStats,
           batch_size: int = 64) -> dict[str, np.ndarray]:
     """Pooled (z_rev, z_sec, z_att) embeddings per clip, eval mode."""
-    outs = _eval_forward(model, prep, batch_size)
+    outs = _eval_forward(model, clips, dsp_cfg, stats, batch_size)
     del outs["logits_sec"]
     return outs
 
 
-def section_logits(model: GrhdModel, prep: PreparedBatchSet,
+def section_logits(model: GrhdModel, clips: Sequence[AudioClip | ClipRecord],
+                   dsp_cfg: SpectrogramConfig, stats: StandardStats,
                    batch_size: int = 64) -> np.ndarray:
     """Eval-mode section-classifier logits, one row per clip."""
-    return _eval_forward(model, prep, batch_size)["logits_sec"]
+    outs = _eval_forward(model, clips, dsp_cfg, stats, batch_size)
+    return outs["logits_sec"]
 
 
 def _tiny_config(num_sections: int = 2, num_groups: int = 3) -> ModelConfig:

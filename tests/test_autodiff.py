@@ -13,9 +13,11 @@ from grhd.autodiff.gradcheck import (
     run_suite,
 )
 from grhd.errors import (
+    GrhdError,
     InvalidConfig,
     InvalidSchedule,
     LabelOutOfRange,
+    NoGradient,
     ShapeMismatch,
 )
 
@@ -115,6 +117,80 @@ def test_softmax_rows_normalized():
     out = ad.softmax(ad.Tensor(rng.standard_normal((4, 7)))).data
     np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-12)
     assert np.all(out > 0)
+
+
+# -------------------------------------------------------------- no_grad ----
+
+def _tiny_net(seed=0):
+    rng = np.random.default_rng(seed)
+    conv = ad.Conv2d(2, 3, 3, rng, stride=2, padding=1, dtype=np.float64)
+    bn = ad.BatchNorm2d(3, dtype=np.float64)
+    dense = ad.Dense(3, 4, rng, dtype=np.float64)
+    x = rng.standard_normal((5, 2, 6, 6))
+    labels = rng.integers(0, 4, size=5)
+
+    def loss():
+        h = ad.relu(bn(conv(ad.Tensor(x)), True))
+        return ad.cross_entropy(dense(ad.global_avg_pool(h)), labels)
+
+    params = conv.parameters() + bn.parameters() + dense.parameters()
+    return loss, [t for _, t in params]
+
+
+def test_no_grad_outputs_keep_no_graph():
+    rng = np.random.default_rng(0)
+    x = leaf(rng.standard_normal((2, 3, 5, 5)))
+    w = leaf(rng.standard_normal((4, 3, 3, 3)))
+    b = leaf(rng.standard_normal(4))
+    with ad.no_grad():
+        outs = [ad.conv2d(x, w, b, padding=(1, 1)), ad.add(x, x),
+                ad.mul(x, x), ad.relu(x), ad.reshape(x, (2, 75)),
+                ad.global_avg_pool(x), ad.grad_reverse(x, 0.5),
+                ad.matmul(leaf(np.ones((2, 3))), leaf(np.ones((3, 1)))),
+                ad.cross_entropy(leaf(np.ones((2, 3))), np.array([0, 2]))]
+    for out in outs:
+        assert out.requires_grad is False
+        assert out._parents == ()
+        assert out._backward is None
+    # Outside the block the same op builds its graph again.
+    out = ad.add(x, x)
+    assert out.requires_grad and out._parents == (x, x)
+    assert out._backward is not None
+
+
+def test_no_grad_restores_mode_after_exception():
+    x = leaf([1.0, 2.0])
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.mul(x, x).requires_grad  # inner exit kept it off
+            raise RuntimeError("boom")
+    assert ad.mul(x, x).requires_grad
+
+
+def test_gradients_after_no_grad_are_bitwise_unchanged():
+    loss, params = _tiny_net()
+    loss().backward()
+    plain = [p.grad.copy() for p in params]
+
+    loss, params = _tiny_net()
+    with ad.no_grad():
+        inference = loss()
+    assert not inference.requires_grad
+    loss().backward()
+    for p, g in zip(params, plain):
+        assert p.grad.tobytes() == g.tobytes()
+
+
+def test_backward_without_graph_is_a_typed_error():
+    x = leaf([1.0, 2.0])
+    with ad.no_grad():
+        y = sum_all(ad.mul(x, x))
+    with pytest.raises(NoGradient) as info:
+        y.backward()
+    assert isinstance(info.value, GrhdError)
+    assert y.grad is None and x.grad is None
 
 
 # ---------------------------------------------------------------- losses ----

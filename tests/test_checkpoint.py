@@ -15,7 +15,7 @@ from grhd.errors import (
     MalformedCheckpoint,
     VersionMismatch,
 )
-from grhd.model import TrainConfig, prepare_clips, section_logits, train
+from grhd.model import TrainConfig, section_logits, train
 from grhd.synth import SynthConfig, synth_generate
 
 
@@ -75,11 +75,10 @@ def test_round_trip_scores_bit_exact(trained, tmp_path):
     path = tmp_path / "model.ckpt"
     _save(result, path)
     restored = load_checkpoint(path).build_model()
-    prep = prepare_clips(test_clips, result.dsp_cfg, np.float32,
-                         table=result.table, stats=result.stats,
-                         sections=result.sections)
-    np.testing.assert_array_equal(section_logits(result.model, prep),
-                                  section_logits(restored, prep))
+    np.testing.assert_array_equal(
+        section_logits(result.model, test_clips, result.dsp_cfg,
+                       result.stats),
+        section_logits(restored, test_clips, result.dsp_cfg, result.stats))
 
 
 def test_save_is_byte_deterministic(trained, tmp_path):

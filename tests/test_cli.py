@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ def test_embed_rows_and_determinism(trained):
     header = lines[0].split(",")
     assert header[:5] == ["clip", "machine", "section", "domain", "condition"]
     assert any(h.startswith("z_att_") for h in header)
+
+
+def test_embed_parses_each_wav_once(trained, monkeypatch):
+    from grhd import dataset
+
+    root, data, ckpt = trained
+    parsed = Counter()
+    parse = dataset.parse_clip_metadata
+
+    def counting(path):
+        parsed[str(path)] += 1
+        return parse(path)
+
+    monkeypatch.setattr(dataset, "parse_clip_metadata", counting)
+    assert main(["embed", "--ckpt", str(ckpt), "--data", str(data),
+                 "--out", str(root / "emb_parsed.csv")]) == 0
+    wavs = {str(p) for p in data.rglob("*.wav")}
+    assert set(parsed) == wavs
+    assert max(parsed.values()) == 1
 
 
 def test_embed_groups_cluster_in_attribute_space(trained):

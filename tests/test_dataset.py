@@ -146,20 +146,27 @@ def test_load_corpus_dir_decodes_only_the_requested_machine(tmp_path,
                                                              monkeypatch):
     _two_machine_corpus(tmp_path)
     calls = _count_decodes(monkeypatch)
-    clips = load_corpus_dir(tmp_path, machine_type="fan")
-    assert len(clips) == 6
-    assert {c.metadata.machine_type for c in clips} == {"fan"}
+    records = load_corpus_dir(tmp_path, machine_type="fan")
+    assert len(records) == 6
+    assert {r.metadata.machine_type for r in records} == {"fan"}
+    assert calls == []  # listing decodes nothing
+    clips = [r.load() for r in records]
     assert len(calls) == 6
     assert all(p.startswith(str(tmp_path / "fan")) for p in calls)
+    assert [c.clip_id for c in clips] == [r.clip_id for r in records]
+    assert [c.metadata for c in clips] == [r.metadata for r in records]
 
 
 def test_load_corpus_dir_decodes_only_the_requested_split(tmp_path,
                                                            monkeypatch):
     _two_machine_corpus(tmp_path)
     calls = _count_decodes(monkeypatch)
-    clips = load_corpus_dir(tmp_path, machine_type="toycar", split=Split.TEST)
-    assert [c.clip_id for c in clips] == \
+    records = load_corpus_dir(tmp_path, machine_type="toycar",
+                              split=Split.TEST)
+    assert [r.clip_id for r in records] == \
         [f"section_00_source_test_anomaly_{i:04d}" for i in range(3)]
+    for r in records:
+        r.load()
     assert len(calls) == 3
 
 
@@ -167,7 +174,10 @@ def test_load_corpus_dir_without_machine_decodes_everything(tmp_path,
                                                             monkeypatch):
     _two_machine_corpus(tmp_path)
     calls = _count_decodes(monkeypatch)
-    assert len(load_corpus_dir(tmp_path)) == 12
+    records = load_corpus_dir(tmp_path)
+    assert len(records) == 12
+    for r in records:
+        r.load()
     assert len(calls) == 12
 
 

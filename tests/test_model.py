@@ -1,10 +1,13 @@
 """GRHD network: shapes, hierarchy wiring, reversal semantics, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from grhd import autodiff as ad
-from grhd.dataset import build_attribute_groups
+from grhd.dataset import build_attribute_groups, load_corpus_dir, write_wav
+from grhd.dsp import SpectrogramConfig, StandardStats
 from grhd.errors import (
     ContractViolation,
     DivergenceDetected,
@@ -54,6 +57,16 @@ def tiny_corpus(**kw):
     base.update(kw)
     clips = synth_generate(SynthConfig(**base))
     return [c for c in clips if c.metadata.split.value == "train"]
+
+
+def _write_records(clips, root):
+    """Write clips as the WAV files of one machine; their listed records."""
+    folder = root / "toycar"
+    folder.mkdir(parents=True, exist_ok=True)
+    for clip in clips:
+        write_wav(folder / f"{clip.clip_id}.wav", clip.samples,
+                  clip.sample_rate)
+    return load_corpus_dir(root)
 
 
 # ---------------------------------------------------------------- shapes ----
@@ -313,36 +326,38 @@ def test_train_stops_on_non_finite_parameters():
 def test_embed_row_counts_and_keys():
     clips = tiny_corpus()
     result = train(clips, TrainConfig(epochs=1, batch_size=4))
-    prep = prepare_clips(clips, result.dsp_cfg, np.float32,
-                         table=result.table, stats=result.stats,
-                         sections=result.sections)
-    out = embed(result.model, prep, batch_size=5)
+    out = embed(result.model, clips, result.dsp_cfg, result.stats,
+                batch_size=5)
     assert set(out) == {"z_rev", "z_sec", "z_att"}
     for arr in out.values():
         assert arr.shape[0] == len(clips)
     # repeat is bitwise identical (eval mode has no stochastic state)
-    again = embed(result.model, prep, batch_size=5)
+    again = embed(result.model, clips, result.dsp_cfg, result.stats,
+                  batch_size=5)
     np.testing.assert_array_equal(out["z_att"], again["z_att"])
 
 
 def test_section_logits_shape_and_determinism():
     clips = tiny_corpus()
     result = train(clips, TrainConfig(epochs=1, batch_size=4))
-    prep = prepare_clips(clips, result.dsp_cfg, np.float32,
-                         table=result.table, stats=result.stats,
-                         sections=result.sections)
-    logits = section_logits(result.model, prep)
+    logits = section_logits(result.model, clips, result.dsp_cfg,
+                            result.stats)
     assert logits.shape == (len(clips), 2)
     # bitwise repeatable for a fixed batch size (f32 GEMMs are only
     # reproducible, not batching-invariant)
-    np.testing.assert_array_equal(logits, section_logits(result.model, prep))
+    np.testing.assert_array_equal(
+        logits, section_logits(result.model, clips, result.dsp_cfg,
+                               result.stats))
 
 
-def test_eval_loop_matches_forward_on_uneven_batches():
+def test_eval_loop_matches_forward_on_uneven_batches(tmp_path):
+    """The streaming loop, batch 2 over 5 clips listed on disk, against
+    model.forward on the same batches prepared up front."""
     clips = tiny_corpus()
     result = train(clips, TrainConfig(epochs=1, batch_size=4))
     model = result.model
-    prep = prepare_clips(clips[:5], result.dsp_cfg, np.float32,
+    records = _write_records(clips[:5], tmp_path)
+    prep = prepare_clips(records, result.dsp_cfg, np.float32,
                          table=result.table, stats=result.stats,
                          sections=result.sections)
     logits, pooled = [], {"z_rev": [], "z_sec": [], "z_att": []}
@@ -355,11 +370,45 @@ def test_eval_loop_matches_forward_on_uneven_batches():
                        ("z_att", out[3])):
             pooled[key].append(z.data.mean(axis=(2, 3)))
     np.testing.assert_array_equal(
-        section_logits(model, prep, batch_size=2), np.concatenate(logits))
-    vectors = embed(model, prep, batch_size=2)
+        section_logits(model, records, result.dsp_cfg, result.stats,
+                       batch_size=2), np.concatenate(logits))
+    vectors = embed(model, records, result.dsp_cfg, result.stats,
+                    batch_size=2)
     assert set(vectors) == set(pooled)
     for key, parts in pooled.items():
         np.testing.assert_array_equal(vectors[key], np.concatenate(parts))
+
+
+def test_eval_loop_peak_memory_is_one_batch(tmp_path):
+    """The eval loop's traced peak over 4 batches stays at one batch's:
+    clips are decoded, prepared and forwarded a batch at a time, and no
+    graph is kept.  A loop that prepares every clip before the first
+    forward peaks at ~2.3x here."""
+    batch = 8
+    rng = np.random.default_rng(0)
+    folder = tmp_path / "toycar"
+    folder.mkdir()
+    for i in range(4 * batch):
+        write_wav(folder / f"section_00_source_test_normal_{i:04d}.wav",
+                  rng.uniform(-0.5, 0.5, 1600), 16000)
+    records = load_corpus_dir(tmp_path)
+    model = GrhdModel(TINY, seed=0)
+    dsp_cfg = SpectrogramConfig(frame_size=TINY.frame_size, hop=TINY.hop,
+                                num_mels=TINY.num_mels)
+    stats = StandardStats(mean=np.zeros(TINY.num_mels),
+                          std=np.ones(TINY.num_mels))
+
+    def peak(clips):
+        tracemalloc.start()
+        try:
+            embed(model, clips, dsp_cfg, stats, batch_size=batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(records[:batch])  # first call fills the filterbank cache
+    one, four = peak(records[:batch]), peak(records)
+    assert four < 1.25 * one, (one, four)
 
 
 def test_prepare_clips_stacks_in_model_dtype():

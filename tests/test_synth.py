@@ -133,7 +133,8 @@ def test_write_corpus_round_trip(tmp_path):
     cfg = tiny_config()
     manifest = write_corpus(cfg, tmp_path)
     assert manifest.exists()
-    loaded = load_corpus_dir(tmp_path, machine_type="toycar")
+    loaded = [r.load() for r in
+              load_corpus_dir(tmp_path, machine_type="toycar")]
     generated = synth_generate(cfg)
     assert len(loaded) == len(generated)
     by_id = {c.clip_id: c for c in loaded}
