@@ -246,9 +246,11 @@ def grad_reverse(a: Tensor, lam: float) -> Tensor:
     return Tensor(a.data, _parents=(a,), _backward=backward)
 
 
-# Longest NCHW run (Wo) for which _col2im switches to the (N, C)-innermost
-# grid.  Measured at batch 64, f32: the [Hp, Wp, N, C] grid is 1.5-7x faster
-# at Wo = 2 and 4, and 1.3x slower at Wo = 8.
+# Longest output row (Wo) for which `_scatter_taps` accumulates on a grid
+# with the two batch axes innermost: [Hp, Wp, N, C] for `_col2im`,
+# [Hp, Wp, C, N] for `_col2im_wide`.  Measured at batch 64, f32: that grid
+# is 1.5-7x faster than the NCHW one at Wo = 2 and 4, and 1.3x slower at
+# Wo = 8.
 _SHORT_RUN = 4
 
 
@@ -261,58 +263,117 @@ def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return xp
 
 
+def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+             ph: int, pw: int) -> np.ndarray:
+    """Read-only strided view [N, C, Ho, Wo, kh, kw] of the padded input's
+    patches.  `as_strided` builds it in ~5 us where `sliding_window_view`
+    plus a strided slice takes ~13 us, which matters for the thousands of
+    tiny convolutions of a finite-difference check."""
+    xp = _pad2d(x, ph, pw)
+    n, c, hp, wp = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, (hp - kh) // sh + 1, (wp - kw) // sw + 1, kh, kw),
+        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3), writeable=False)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
             ph: int, pw: int):
     """[N, C, H, W] -> columns [N, C*kh*kw, Ho*Wo], rows ordered (c, i, j)."""
-    n, c, h, w = x.shape
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(
-        _pad2d(x, ph, pw), (kh, kw), axis=(2, 3))
+    windows = _windows(x, kh, kw, sh, sw, ph, pw)
+    n, c, ho, wo = windows.shape[:4]
     # [N, C, Ho, Wo, kh, kw] view -> [N, C, kh, kw, Ho, Wo] in one copy.
-    cols = np.ascontiguousarray(
-        windows[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * kh * kw, ho * wo), (ho, wo)
 
 
-def _col2im(dcols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, ho, wo):
-    """Scatter-add columns back onto the padded input grid.
+def _im2col_wide(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+                 ph: int, pw: int):
+    """[N, C, H, W] -> columns [C*kh*kw, N*Ho*Wo].
 
-    The taps are added one by one in (i, j) order in either layout, so every
-    input element sums the same terms in the same order.  A tap's slice of
-    an NCHW grid is N*C*Ho runs of Wo elements; when the runs are short
-    (the deep, small maps) the per-run loop overhead dominates, and the
-    taps are accumulated on an [Hp, Wp, N, C] grid instead, whose rows are
-    N*C elements long.
+    Rows are ordered (c, i, j) as in `_im2col`, columns (n, ho, wo).
     """
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * ph, w + 2 * pw
-    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+    windows = _windows(x, kh, kw, sh, sw, ph, pw)
+    n, c, ho, wo = windows.shape[:4]
+    # [N, C, Ho, Wo, kh, kw] view -> [C, kh, kw, N, Ho, Wo] in one copy.
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    return cols.reshape(c * kh * kw, n * ho * wo), (ho, wo)
+
+
+def _scatter_taps(taps: np.ndarray, hp: int, wp: int, sh: int,
+                  sw: int) -> np.ndarray:
+    """Sum taps [A, B, kh, kw, Ho, Wo] onto a zero [A, B, Hp, Wp] grid.
+
+    The taps are added one by one in (i, j) order in either grid, so every
+    grid element sums the same terms in the same order.  A tap's slice of
+    an [A, B, Hp, Wp] grid is A*B*Ho runs of Wo elements; when the runs are
+    short (the deep, small maps) the per-run loop overhead dominates, and
+    the taps are accumulated on an [Hp, Wp, A, B] grid instead, whose rows
+    are A*B elements long, and returned as an [A, B, Hp, Wp] view of it.
+    """
+    a, b, kh, kw, ho, wo = taps.shape
     if wo <= _SHORT_RUN:
-        taps = np.ascontiguousarray(dcols.transpose(2, 3, 4, 5, 0, 1))
-        dxt = np.zeros((hp, wp, n, c), dtype=dcols.dtype)
+        taps = np.ascontiguousarray(taps.transpose(2, 3, 4, 5, 0, 1))
+        grid = np.zeros((hp, wp, a, b), dtype=taps.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxt[i:i + sh * ho:sh, j:j + sw * wo:sw] += taps[i, j]
-        return np.ascontiguousarray(
-            dxt[ph:h + ph, pw:w + pw].transpose(2, 3, 0, 1))
-    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
+                grid[i:i + sh * ho:sh, j:j + sw * wo:sw] += taps[i, j]
+        return grid.transpose(2, 3, 0, 1)
+    grid = np.zeros((a, b, hp, wp), dtype=taps.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += \
-                dcols[:, :, i, j]
-    if ph or pw:
-        return dxp[:, :, ph:h + ph, pw:w + pw]
-    return dxp
+            grid[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += taps[:, :, i, j]
+    return grid
+
+
+def _col2im(dcols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, ho, wo):
+    """Scatter-add `_im2col` columns back onto the input: [N, C, H, W]."""
+    n, c, h, w = x_shape
+    dxp = _scatter_taps(dcols.reshape(n, c, kh, kw, ho, wo), h + 2 * ph,
+                        w + 2 * pw, sh, sw)
+    dx = dxp[:, :, ph:h + ph, pw:w + pw]
+    # A crop of the NCHW grid is returned as it is (a copy would cost ~1 ms
+    # on `block1`); the short-run grid's transposed view is put in NCHW order.
+    return np.ascontiguousarray(dx) if wo <= _SHORT_RUN else dx
+
+
+def _col2im_wide(dcols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, ho,
+                 wo):
+    """Scatter-add `_im2col_wide` columns back onto the input: [N, C, H, W].
+
+    The taps are summed on a [C, N, Hp, Wp] grid (or the short-run grid),
+    in the same (i, j) order as `_col2im`, so both give the same bits.
+    """
+    n, c, h, w = x_shape
+    taps = dcols.reshape(c, kh, kw, n, ho, wo).transpose(0, 3, 1, 2, 4, 5)
+    dxp = _scatter_taps(taps, h + 2 * ph, w + 2 * pw, sh, sw)
+    return np.ascontiguousarray(
+        dxp[:, :, ph:h + ph, pw:w + pw].transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: tuple[int, int] = (1, 1),
            padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """2-D convolution (cross-correlation), x [N,C,H,W], w [Co,C,kh,kw]."""
+    """2-D convolution (cross-correlation), x [N,C,H,W], w [Co,C,kh,kw].
+
+    Two column layouts, chosen from the shapes alone.  When the patch
+    length C*kh*kw is at least the output map Ho*Wo (the temporal branch
+    and the deep layers), the columns of the whole batch form one
+    [C*kh*kw, N*Ho*Wo] matrix, and the output, `dw` and `dcols` are one
+    GEMM each, with no per-sample `dw` stack to sum over N.  Otherwise each
+    sample keeps its own [C*kh*kw, Ho*Wo] block and the products are
+    batched GEMMs.  Measured fwd+bwd at batch 64, f32, one core, per-sample
+    -> one GEMM: `t1` 24.1 -> 13.6 ms, `t2`/`t3` 10.9 -> 6.8, `block2`
+    20.0 -> 17.0, `conv_sec` 13.2 -> 12.2, `conv_att` 4.7 -> 3.9; `block1`
+    (C*kh*kw = 144, Ho*Wo = 256) 18.2 either way; `block0` (18 against
+    960) 5.6 -> 8.0 ms, because OpenBLAS runs its three GEMMs, with 16-18
+    rows or inner terms against 61,440 columns, at half the speed of the
+    64 per-sample ones.  Both layouts sum `dx` in the same order.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4 or \
             x.data.shape[1] != w.data.shape[1]:
         raise ShapeMismatch(f"conv2d {x.data.shape} with {w.data.shape}")
+    n = x.data.shape[0]
     co, ci, kh, kw = w.data.shape
     sh, sw = stride
     ph, pw = padding
@@ -320,20 +381,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeMismatch(
             f"conv2d kernel {kh}x{kw} larger than padded input "
             f"{x.data.shape[2:]} + 2*{padding}")
-    cols, (ho, wo) = _im2col(x.data, kh, kw, sh, sw, ph, pw)
+    ho = (x.data.shape[2] + 2 * ph - kh) // sh + 1
+    wo = (x.data.shape[3] + 2 * pw - kw) // sw + 1
     wmat = w.data.reshape(co, ci * kh * kw)
-    out = np.matmul(wmat, cols).reshape(x.data.shape[0], co, ho, wo)
-    if b is not None:
-        out += b.data[None, :, None, None]
+    wide = ci * kh * kw >= ho * wo
+    if wide:
+        cols, _ = _im2col_wide(x.data, kh, kw, sh, sw, ph, pw)
+        out = wmat @ cols
+        if b is not None:
+            out += b.data[:, None]
+        out = np.ascontiguousarray(
+            out.reshape(co, n, ho, wo).transpose(1, 0, 2, 3))
+    else:
+        cols, _ = _im2col(x.data, kh, kw, sh, sw, ph, pw)
+        out = np.matmul(wmat, cols).reshape(n, co, ho, wo)
+        if b is not None:
+            out += b.data[None, :, None, None]
 
     def backward(g):
-        gmat = g.reshape(g.shape[0], co, ho * wo)
-        dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0) \
-            .reshape(w.data.shape)
+        if wide:
+            gmat = g.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
+            dw = (gmat @ cols.T).reshape(w.data.shape)
+        else:
+            gmat = g.reshape(n, co, ho * wo)
+            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0) \
+                .reshape(w.data.shape)
         dx = None
         if x.requires_grad:
             dcols = np.matmul(wmat.T, gmat)
-            dx = _col2im(dcols, x.data.shape, kh, kw, sh, sw, ph, pw, ho, wo)
+            col2im = _col2im_wide if wide else _col2im
+            dx = col2im(dcols, x.data.shape, kh, kw, sh, sw, ph, pw, ho, wo)
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw

@@ -1,12 +1,17 @@
 """End-to-end command surface: synth, train, eval, embed, gradcheck."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grhd
 from grhd.checkpoint import MAGIC, VERSION
 from grhd.cli import main
 
@@ -273,3 +278,35 @@ def test_gradcheck_passes(capsys):
 def test_gradcheck_fault_injection_fails(capsys):
     assert main(["gradcheck", "--seed", "0", "--fault", "sign_flip"]) == 1
     assert "OVERALL FAIL" in capsys.readouterr().out
+
+
+def run_module(args, cwd, **env):
+    """`python -m grhd ARGS` in a fresh interpreter that imports this grhd."""
+    src = str(Path(grhd.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.run([sys.executable, "-m", "grhd", *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_python_m_grhd_runs_the_cli(tmp_path):
+    proc = run_module(["--help"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: grhd")
+    for command in ("synth", "train", "eval", "embed", "gradcheck"):
+        assert command in proc.stdout
+
+
+def test_checkpoint_independent_of_blas_thread_count(workspace, tmp_path):
+    _, _, data = workspace
+    digests = []
+    for threads in ("1", "2"):
+        ckpt = tmp_path / f"threads{threads}.ckpt"
+        proc = run_module(["train", "--data", str(data), "--machine",
+                           "toycar", "--out", str(ckpt), "--seed", "3",
+                           "--epochs", "1"], tmp_path,
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]

@@ -1,12 +1,19 @@
-"""Convolution against direct-sum oracles, and im2col/col2im against the
-tap-loop reference they replace (bit for bit)."""
+"""Convolution against direct-sum oracles, im2col/col2im in both column
+layouts against tap-loop references (bit for bit), and conv2d against the
+per-sample batched-GEMM conv2d it replaced on the wide-kernel layers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grhd import autodiff as ad
-from grhd.autodiff.engine import _col2im, _im2col
+from grhd.autodiff import engine
+from grhd.autodiff.engine import (
+    _col2im,
+    _col2im_wide,
+    _im2col,
+    _im2col_wide,
+)
 from grhd.errors import ShapeMismatch
 
 
@@ -35,6 +42,49 @@ def loop_col2im(dcols, x_shape, kh, kw, sh, sw, ph, pw, ho, wo):
             dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += \
                 dcols[:, :, i, j]
     return dxp[:, :, ph:h + ph, pw:w + pw]
+
+
+def loop_im2col_wide(x, kh, kw, sh, sw, ph, pw):
+    """Tap-by-tap im2col into one [C*kh*kw, N*Ho*Wo] matrix."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] \
+                .transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * ho * wo), (ho, wo)
+
+
+def loop_col2im_wide(dcols, x_shape, kh, kw, sh, sw, ph, pw, ho, wo):
+    """NCHW tap-by-tap col2im from one [C*kh*kw, N*Ho*Wo] matrix."""
+    n, c, h, w = x_shape
+    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dcols.dtype)
+    dcols = dcols.reshape(c, kh, kw, n, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += \
+                dcols[:, i, j].transpose(1, 0, 2, 3)
+    return dxp[:, :, ph:h + ph, pw:w + pw]
+
+
+def per_sample_conv2d(x, w, b, stride, padding, g):
+    """The conv2d used for every shape before the one-GEMM layout: batched
+    per-sample GEMMs, `dw` summed over N.  Returns out, dx, dw, db."""
+    n = x.shape[0]
+    co, c, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    cols, (ho, wo) = loop_im2col(x, kh, kw, sh, sw, ph, pw)
+    wmat = w.reshape(co, c * kh * kw)
+    out = np.matmul(wmat, cols).reshape(n, co, ho, wo)
+    out += b[None, :, None, None]
+    gmat = g.reshape(n, co, ho * wo)
+    dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dx = loop_col2im(np.matmul(wmat.T, gmat), x.shape, kh, kw, sh, sw, ph, pw,
+                     ho, wo)
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
 
 
 def direct_conv2d(x, w, b, stride, padding):
@@ -197,6 +247,148 @@ def test_t1_im2col_bitwise_equal_to_tap_loop():
     x = rng.standard_normal((2, 1, 1, 4000)).astype(np.float32)
     cols, _ = _im2col(x, 1, 1024, 1, 512, 0, 0)
     assert np.array_equal(cols, loop_im2col(x, 1, 1024, 1, 512, 0, 0)[0])
+
+
+# ------------------------------------------------------- one-GEMM layout --
+
+@given(case=conv_case(), f32=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_wide_im2col_col2im_bitwise_equal_to_tap_loops(case, f32):
+    n, c, _, h, w, kh, kw, sh, sw, ph, pw, seed = case
+    dtype = np.float32 if f32 else np.float64
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    cols, (ho, wo) = _im2col_wide(x, kh, kw, sh, sw, ph, pw)
+    ref, ref_hw = loop_im2col_wide(x, kh, kw, sh, sw, ph, pw)
+    assert (ho, wo) == ref_hw
+    assert cols.dtype == ref.dtype
+    assert np.array_equal(cols, ref)
+
+    dcols = rng.standard_normal(cols.shape).astype(dtype)
+    args = ((n, c, h, w), kh, kw, sh, sw, ph, pw, ho, wo)
+    dx = _col2im_wide(dcols, *args)
+    expect = loop_col2im_wide(dcols, *args)
+    assert dx.dtype == expect.dtype
+    assert dx.flags.c_contiguous
+    assert dx.tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+def run_conv2d(x, w, b, stride, padding, g):
+    """conv2d output and x/w/b gradients for upstream gradient g."""
+    xt, wt, bt = (ad.Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+    out = ad.conv2d(xt, wt, bt, stride=stride, padding=padding)
+    out.backward(g)
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def assert_matches_per_sample(x, w, b, stride, padding, rng):
+    """f64: dx and db bit for bit, the output and dw to 1e-12 relative (the
+    one-GEMM layout sums their terms in another order).  A one-element
+    output map is the exception for dx: there the reference's per-sample
+    `dcols` product has one column, which numpy hands to a matrix-vector
+    kernel that rounds differently, so dx is held to 1e-12 as well."""
+    co = w.shape[0]
+    ho = (x.shape[2] + 2 * padding[0] - w.shape[2]) // stride[0] + 1
+    wo = (x.shape[3] + 2 * padding[1] - w.shape[3]) // stride[1] + 1
+    g = rng.standard_normal((x.shape[0], co, ho, wo))
+    out, dx, dw, db = run_conv2d(x, w, b, stride, padding, g)
+    ref_out, ref_dx, ref_dw, ref_db = per_sample_conv2d(x, w, b, stride,
+                                                        padding, g)
+    close = [(out, ref_out), (dw, ref_dw)]
+    if ho * wo > 1:
+        assert dx.tobytes() == np.ascontiguousarray(ref_dx).tobytes()
+    else:
+        close.append((dx, ref_dx))
+    assert db.tobytes() == ref_db.tobytes()
+    for got, ref in close:
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(case=conv_case())
+@settings(max_examples=60, deadline=None)
+def test_conv2d_matches_per_sample_conv2d(case):
+    n, c, co, h, w, kh, kw, sh, sw, ph, pw, seed = case
+    rng = np.random.default_rng(seed)
+    assert_matches_per_sample(rng.standard_normal((n, c, h, w)),
+                              rng.standard_normal((co, c, kh, kw)),
+                              rng.standard_normal(co), (sh, sw), (ph, pw),
+                              rng)
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """Record which im2col layout each conv2d call takes."""
+    taken = []
+    for name, layout in (("_im2col", "per_sample"), ("_im2col_wide", "wide")):
+        def spy(*args, _fn=getattr(engine, name), _layout=layout):
+            taken.append(_layout)
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, spy)
+    return taken
+
+
+# (x shape, w shape, stride, padding, layout): one GEMM once the patch
+# length C*kh*kw reaches the output map Ho*Wo.
+RULE_CASES = {
+    "square_equal": ((3, 2, 3, 6), (4, 2, 3, 3), (1, 1), (1, 1), "wide"),
+    "square_one_over": ((3, 2, 3, 7), (4, 2, 3, 3), (1, 1), (1, 1),
+                        "per_sample"),
+    "row_equal": ((2, 4, 1, 12), (5, 4, 1, 3), (1, 1), (0, 1), "wide"),
+    "row_one_over": ((2, 4, 1, 13), (5, 4, 1, 3), (1, 1), (0, 1),
+                     "per_sample"),
+    "short_run_wide": ((2, 3, 9, 9), (2, 3, 3, 3), (3, 3), (0, 0), "wide"),
+    "short_run_per_sample": ((2, 1, 8, 3), (2, 1, 2, 2), (1, 1), (0, 0),
+                             "per_sample"),
+}
+
+
+@pytest.mark.parametrize("xs,ws,s,p,layout", RULE_CASES.values(),
+                         ids=RULE_CASES.keys())
+def test_shape_rule_sides(xs, ws, s, p, layout, layouts):
+    rng = np.random.default_rng(sum(xs) + sum(ws))
+    assert_matches_per_sample(rng.standard_normal(xs), rng.standard_normal(ws),
+                              rng.standard_normal(ws[0]), s, p, rng)
+    assert layouts == [layout]
+
+
+# Every GRHD conv layer at batch 4: (x shape, w shape, stride, padding).
+MODEL_LAYERS = {
+    "t1": ((4, 1, 1, 16000), (128, 1, 1, 1024), (1, 512), (0, 0)),
+    "t2": ((4, 128, 1, 30), (128, 128, 1, 3), (1, 1), (0, 1)),
+    "t3": ((4, 128, 1, 30), (128, 128, 1, 3), (1, 1), (0, 1)),
+    "block0": ((4, 2, 128, 30), (16, 2, 3, 3), (2, 2), (1, 1)),
+    "block1": ((4, 16, 64, 15), (32, 16, 3, 3), (2, 2), (1, 1)),
+    "block2": ((4, 32, 32, 8), (128, 32, 3, 3), (2, 2), (1, 1)),
+    "conv_sec": ((4, 128, 16, 4), (48, 128, 3, 3), (2, 2), (1, 1)),
+    "conv_att": ((4, 48, 8, 2), (48, 48, 3, 3), (1, 1), (1, 1)),
+}
+PER_SAMPLE_LAYERS = {"block0", "block1"}
+
+
+@pytest.mark.parametrize("name", MODEL_LAYERS)
+def test_model_layers_against_per_sample_conv2d(name, layouts):
+    xs, ws, s, p = MODEL_LAYERS[name]
+    rng = np.random.default_rng(len(name))
+    assert_matches_per_sample(rng.standard_normal(xs), rng.standard_normal(ws),
+                              rng.standard_normal(ws[0]), s, p, rng)
+    assert layouts == \
+        ["per_sample" if name in PER_SAMPLE_LAYERS else "wide"]
+
+
+@pytest.mark.parametrize("name", sorted(set(MODEL_LAYERS) - PER_SAMPLE_LAYERS))
+def test_model_layers_wide_helpers_bitwise_equal_to_tap_loops(name):
+    xs, ws, (sh, sw), (ph, pw) = MODEL_LAYERS[name]
+    kh, kw = ws[2:]
+    rng = np.random.default_rng(len(name))
+    x = rng.standard_normal(xs).astype(np.float32)
+    cols, (ho, wo) = _im2col_wide(x, kh, kw, sh, sw, ph, pw)
+    assert np.array_equal(cols,
+                          loop_im2col_wide(x, kh, kw, sh, sw, ph, pw)[0])
+    dcols = rng.standard_normal(cols.shape).astype(np.float32)
+    args = (xs, kh, kw, sh, sw, ph, pw, ho, wo)
+    assert _col2im_wide(dcols, *args).tobytes() == \
+        np.ascontiguousarray(loop_col2im_wide(dcols, *args)).tobytes()
 
 
 # ------------------------------------------------------ gradient skipping --
