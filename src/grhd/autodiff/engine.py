@@ -214,18 +214,6 @@ def global_avg_pool(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
-
-    return Tensor(s, _parents=(a,), _backward=backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
 
@@ -246,11 +234,10 @@ def grad_reverse(a: Tensor, lam: float) -> Tensor:
     return Tensor(a.data, _parents=(a,), _backward=backward)
 
 
-# Longest output row (Wo) for which `_scatter_taps` accumulates on a grid
-# with the two batch axes innermost: [Hp, Wp, N, C] for `_col2im`,
-# [Hp, Wp, C, N] for `_col2im_wide`.  Measured at batch 64, f32: that grid
-# is 1.5-7x faster than the NCHW one at Wo = 2 and 4, and 1.3x slower at
-# Wo = 8.
+# Longest output row (Wo) for which `_col2im` accumulates on the grid with
+# the batch axes innermost, [Hp, Wp, N, C].  Measured at batch 64, f32: that
+# grid is 1.5-7x faster than the NCHW one at Wo = 2 and 4, and 1.3x slower
+# at Wo = 8.
 _SHORT_RUN = 4
 
 
@@ -278,77 +265,53 @@ def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-            ph: int, pw: int):
-    """[N, C, H, W] -> columns [N, C*kh*kw, Ho*Wo], rows ordered (c, i, j)."""
-    windows = _windows(x, kh, kw, sh, sw, ph, pw)
-    n, c, ho, wo = windows.shape[:4]
-    # [N, C, Ho, Wo, kh, kw] view -> [N, C, kh, kw, Ho, Wo] in one copy.
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(n, c * kh * kw, ho * wo), (ho, wo)
+            ph: int, pw: int, fold: bool):
+    """[N, C, H, W] -> columns [G, C*kh*kw, M], rows ordered (c, i, j).
 
-
-def _im2col_wide(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-                 ph: int, pw: int):
-    """[N, C, H, W] -> columns [C*kh*kw, N*Ho*Wo].
-
-    Rows are ordered (c, i, j) as in `_im2col`, columns (n, ho, wo).
+    Per sample, G = N and M = Ho*Wo.  With `fold`, the batch is one matrix:
+    G = 1 and M = N*Ho*Wo, columns ordered (n, ho, wo).
     """
     windows = _windows(x, kh, kw, sh, sw, ph, pw)
     n, c, ho, wo = windows.shape[:4]
-    # [N, C, Ho, Wo, kh, kw] view -> [C, kh, kw, N, Ho, Wo] in one copy.
-    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
-    return cols.reshape(c * kh * kw, n * ho * wo), (ho, wo)
+    # [N, C, Ho, Wo, kh, kw] view -> [C, kh, kw, N, Ho, Wo] (folded) or
+    # [N, C, kh, kw, Ho, Wo] in one copy.
+    cols = np.ascontiguousarray(windows.transpose(
+        (1, 4, 5, 0, 2, 3) if fold else (0, 1, 4, 5, 2, 3)))
+    return cols.reshape(1 if fold else n, c * kh * kw, -1), (ho, wo)
 
 
-def _scatter_taps(taps: np.ndarray, hp: int, wp: int, sh: int,
-                  sw: int) -> np.ndarray:
-    """Sum taps [A, B, kh, kw, Ho, Wo] onto a zero [A, B, Hp, Wp] grid.
+def _col2im(dcols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, ho, wo,
+            fold: bool) -> np.ndarray:
+    """Scatter-add `_im2col` columns back onto the input: [N, C, H, W].
 
-    The taps are added one by one in (i, j) order in either grid, so every
-    grid element sums the same terms in the same order.  A tap's slice of
-    an [A, B, Hp, Wp] grid is A*B*Ho runs of Wo elements; when the runs are
-    short (the deep, small maps) the per-run loop overhead dominates, and
-    the taps are accumulated on an [Hp, Wp, A, B] grid instead, whose rows
-    are A*B elements long, and returned as an [A, B, Hp, Wp] view of it.
+    Either layout's columns are read as taps [N, C, kh, kw, Ho, Wo] and
+    added one by one in (i, j) order onto a zero grid of the padded input,
+    so every element sums the same terms in the same order.  A tap's slice
+    of the [N, C, Hp, Wp] grid is N*C*Ho runs of Wo elements; when the runs
+    are short (the deep, small maps) the per-run loop overhead dominates,
+    and the taps are accumulated on an [Hp, Wp, N, C] grid instead, whose
+    rows are N*C elements long.
     """
-    a, b, kh, kw, ho, wo = taps.shape
+    n, c, h, w = x_shape
+    if fold:
+        taps = dcols.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
+    else:
+        taps = dcols.reshape(n, c, kh, kw, ho, wo)
+    hp, wp = h + 2 * ph, w + 2 * pw
     if wo <= _SHORT_RUN:
         taps = np.ascontiguousarray(taps.transpose(2, 3, 4, 5, 0, 1))
-        grid = np.zeros((hp, wp, a, b), dtype=taps.dtype)
+        grid = np.zeros((hp, wp, n, c), dtype=taps.dtype)
         for i in range(kh):
             for j in range(kw):
                 grid[i:i + sh * ho:sh, j:j + sw * wo:sw] += taps[i, j]
-        return grid.transpose(2, 3, 0, 1)
-    grid = np.zeros((a, b, hp, wp), dtype=taps.dtype)
+        return np.ascontiguousarray(
+            grid[ph:h + ph, pw:w + pw].transpose(2, 3, 0, 1))
+    grid = np.zeros((n, c, hp, wp), dtype=taps.dtype)
     for i in range(kh):
         for j in range(kw):
             grid[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += taps[:, :, i, j]
-    return grid
-
-
-def _col2im(dcols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, ho, wo):
-    """Scatter-add `_im2col` columns back onto the input: [N, C, H, W]."""
-    n, c, h, w = x_shape
-    dxp = _scatter_taps(dcols.reshape(n, c, kh, kw, ho, wo), h + 2 * ph,
-                        w + 2 * pw, sh, sw)
-    dx = dxp[:, :, ph:h + ph, pw:w + pw]
-    # A crop of the NCHW grid is returned as it is (a copy would cost ~1 ms
-    # on `block1`); the short-run grid's transposed view is put in NCHW order.
-    return np.ascontiguousarray(dx) if wo <= _SHORT_RUN else dx
-
-
-def _col2im_wide(dcols: np.ndarray, x_shape, kh, kw, sh, sw, ph, pw, ho,
-                 wo):
-    """Scatter-add `_im2col_wide` columns back onto the input: [N, C, H, W].
-
-    The taps are summed on a [C, N, Hp, Wp] grid (or the short-run grid),
-    in the same (i, j) order as `_col2im`, so both give the same bits.
-    """
-    n, c, h, w = x_shape
-    taps = dcols.reshape(c, kh, kw, n, ho, wo).transpose(0, 3, 1, 2, 4, 5)
-    dxp = _scatter_taps(taps, h + 2 * ph, w + 2 * pw, sh, sw)
-    return np.ascontiguousarray(
-        dxp[:, :, ph:h + ph, pw:w + pw].transpose(1, 0, 2, 3))
+    # The crop is returned as a view: a copy would cost ~1 ms on `block1`.
+    return grid[:, :, ph:h + ph, pw:w + pw]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -356,14 +319,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            padding: tuple[int, int] = (0, 0)) -> Tensor:
     """2-D convolution (cross-correlation), x [N,C,H,W], w [Co,C,kh,kw].
 
-    Two column layouts, chosen from the shapes alone.  When the patch
-    length C*kh*kw is at least the output map Ho*Wo (the temporal branch
-    and the deep layers), the columns of the whole batch form one
-    [C*kh*kw, N*Ho*Wo] matrix, and the output, `dw` and `dcols` are one
-    GEMM each, with no per-sample `dw` stack to sum over N.  Otherwise each
-    sample keeps its own [C*kh*kw, Ho*Wo] block and the products are
-    batched GEMMs.  Measured fwd+bwd at batch 64, f32, one core, per-sample
-    -> one GEMM: `t1` 24.1 -> 13.6 ms, `t2`/`t3` 10.9 -> 6.8, `block2`
+    The columns are a [G, C*kh*kw, M] stack, so the output, `dw` (summed
+    over G) and `dcols` are one matmul each.  Their layout is chosen from
+    the shapes alone.  When the patch length C*kh*kw is at least the output
+    map Ho*Wo (the temporal branch and the deep layers), the batch is
+    folded into one [C*kh*kw, N*Ho*Wo] matrix (G = 1), so each product is
+    one GEMM, with no per-sample `dw` stack to sum over N.  Otherwise each
+    sample keeps its own [C*kh*kw, Ho*Wo] block (G = N) and the products
+    are batched GEMMs.  Measured fwd+bwd at batch 64, f32, one core, per
+    sample -> folded: `t1` 24.1 -> 13.6 ms, `t2`/`t3` 10.9 -> 6.8, `block2`
     20.0 -> 17.0, `conv_sec` 13.2 -> 12.2, `conv_att` 4.7 -> 3.9; `block1`
     (C*kh*kw = 144, Ho*Wo = 256) 18.2 either way; `block0` (18 against
     960) 5.6 -> 8.0 ms, because OpenBLAS runs its three GEMMs, with 16-18
@@ -384,33 +348,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     ho = (x.data.shape[2] + 2 * ph - kh) // sh + 1
     wo = (x.data.shape[3] + 2 * pw - kw) // sw + 1
     wmat = w.data.reshape(co, ci * kh * kw)
-    wide = ci * kh * kw >= ho * wo
-    if wide:
-        cols, _ = _im2col_wide(x.data, kh, kw, sh, sw, ph, pw)
-        out = wmat @ cols
-        if b is not None:
-            out += b.data[:, None]
+    fold = ci * kh * kw >= ho * wo
+    cols, _ = _im2col(x.data, kh, kw, sh, sw, ph, pw, fold)
+    out = np.matmul(wmat, cols)
+    if b is not None:
+        out += b.data[:, None]
+    if fold:
         out = np.ascontiguousarray(
             out.reshape(co, n, ho, wo).transpose(1, 0, 2, 3))
     else:
-        cols, _ = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-        out = np.matmul(wmat, cols).reshape(n, co, ho, wo)
-        if b is not None:
-            out += b.data[None, :, None, None]
+        out = out.reshape(n, co, ho, wo)
 
     def backward(g):
-        if wide:
-            gmat = g.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
-            dw = (gmat @ cols.T).reshape(w.data.shape)
+        if fold:
+            gmat = g.transpose(1, 0, 2, 3).reshape(1, co, n * ho * wo)
         else:
             gmat = g.reshape(n, co, ho * wo)
-            dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0) \
-                .reshape(w.data.shape)
+        dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0) \
+            .reshape(w.data.shape)
         dx = None
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, gmat)
-            col2im = _col2im_wide if wide else _col2im
-            dx = col2im(dcols, x.data.shape, kh, kw, sh, sw, ph, pw, ho, wo)
+            dx = _col2im(np.matmul(wmat.T, gmat), x.data.shape, kh, kw, sh,
+                         sw, ph, pw, ho, wo, fold)
         if b is not None:
             return dx, dw, g.sum(axis=(0, 2, 3))
         return dx, dw

@@ -12,7 +12,7 @@ from .config import RunConfig, parse_kv_file
 from .dataset import Split, load_corpus_dir
 from .dsp import SpectrogramConfig
 from .errors import GrhdError, NoTrainingData
-from .metrics import build_report, evaluate
+from .metrics import build_report, check_knn_k, evaluate
 from .model import (
     LossWeights,
     TrainConfig,
@@ -127,6 +127,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run = RunConfig.from_file(args.config).apply_flags(args)
+    check_knn_k(run.knn_k)
     all_scored = []
     for ckpt_path in args.ckpts:
         ckpt = load_checkpoint(ckpt_path)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import InvalidConfig, IoError
 
@@ -28,6 +29,32 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
         if key in out:
             raise InvalidConfig(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value.strip()
+    return out
+
+
+def coerce_fields(cls, mapping: dict[str, str], what: str) -> dict:
+    """Parse raw config strings by the annotated types of dataclass `cls`.
+
+    A tuple field takes a comma list and an optional field its inner type.
+    An unknown key, or a value that does not parse, raises InvalidConfig
+    naming the key and the value.
+    """
+    types = get_type_hints(cls)
+    out = {}
+    for key, raw in mapping.items():
+        if key not in types:
+            raise InvalidConfig(f"unknown {what} key: {key}")
+        kind = types[key]
+        if get_origin(kind) is tuple:
+            out[key] = tuple(p.strip() for p in raw.split(",") if p.strip())
+            continue
+        # An optional field, `X | None`, parses as X.
+        kind = next((t for t in get_args(kind) if t is not type(None)), kind)
+        try:
+            out[key] = kind(raw)
+        except ValueError:
+            raise InvalidConfig(
+                f"{what} key {key}: {raw!r} is not {kind.__name__}") from None
     return out
 
 
@@ -53,22 +80,11 @@ class RunConfig:
     knn_k: int = 1
     seed: int | None = None  # mandatory for train, enforced by the CLI
 
-    _TYPES = {"frame_size": int, "hop": int, "num_mels": int, "epochs": int,
-              "batch_size": int, "knn_k": int, "seed": int,
-              "lr": float, "alpha": float, "beta": float, "gamma": float,
-              "gamma_f": float, "lambda_gain": float, "eta_min": float,
-              "p": float, "precision": str, "scorer": str}
-
     @classmethod
     def from_file(cls, path: str | Path | None) -> "RunConfig":
-        cfg = cls()
         if path is None:
-            return cfg
-        for key, raw in parse_kv_file(path).items():
-            if key not in cls._TYPES:
-                raise InvalidConfig(f"unknown config key: {key}")
-            setattr(cfg, key, cls._TYPES[key](raw))
-        return cfg
+            return cls()
+        return cls(**coerce_fields(cls, parse_kv_file(path), "config"))
 
     def apply_flags(self, args) -> "RunConfig":
         """Overlay non-None CLI flag values onto this config."""

@@ -29,6 +29,7 @@ from .dsp import SpectrogramConfig, StandardStats
 from .errors import (
     DegenerateLabels,
     EmptyBank,
+    InvalidConfig,
     InvalidP,
     NonFiniteScore,
     NonpositiveValue,
@@ -246,9 +247,16 @@ def score_nls(model: GrhdModel, clips: Sequence[AudioClip | ClipRecord],
     return scored
 
 
+def check_knn_k(k: int) -> None:
+    """The knn scorer averages over k >= 1 nearest references."""
+    if k < 1:
+        raise InvalidConfig(f"knn_k must be >= 1, got {k}")
+
+
 def cosine_knn_scores(queries: np.ndarray, bank: np.ndarray,
                       k: int = 1) -> np.ndarray:
     """Mean cosine distance to the k nearest reference embeddings."""
+    check_knn_k(k)
     if bank.size == 0:
         raise EmptyBank("empty reference bank")
     k = min(k, bank.shape[0])

@@ -10,7 +10,7 @@ the section features (hierarchy, not parallel heads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -263,20 +263,15 @@ class PreparedBatchSet:
 
     waves: np.ndarray       # [N, 1, T]
     specs: np.ndarray       # [N, mels, frames]
-    sec_labels: np.ndarray  # [N]
-    att_labels: np.ndarray  # [N]
     clips: list[AudioClip | ClipRecord]
-    sections: list[int]
-    table: AttributeGroupTable
     stats: StandardStats
 
 
 def prepare_clips(clips: Sequence[AudioClip | ClipRecord],
                   dsp_cfg: SpectrogramConfig, dtype,
-                  table: AttributeGroupTable | None = None,
-                  stats: StandardStats | None = None,
-                  sections: list[int] | None = None) -> PreparedBatchSet:
-    """DSP frontend + label assembly for a homogeneous clip list.
+                  stats: StandardStats | None = None) -> PreparedBatchSet:
+    """DSP frontend for a homogeneous clip list: the stacked waves and
+    log-mel maps, standardized with `stats` (or with their own).
 
     A listed `ClipRecord` is decoded here, one at a time, straight into the
     wave stack, so the set holds no float64 copy of anyone's samples; its
@@ -300,28 +295,8 @@ def prepare_clips(clips: Sequence[AudioClip | ClipRecord],
             specs = np.empty((n,) + spec.shape)
         specs[i] = spec
     stats = standardize(specs, stats)
-    specs = specs.astype(dtype, copy=False)
-
-    if table is None:
-        table = build_attribute_groups([c.metadata for c in clips])
-    if sections is None:
-        sections = table.sections
-    sec_index = {s: i for i, s in enumerate(sections)}
-    sec_labels = np.array(
-        [sec_index.get(c.metadata.section_id, -1) for c in clips],
-        dtype=np.int64)
-
-    def att_label(meta):
-        try:
-            return table.group_index(meta)
-        except KeyError:
-            return -1  # combo unseen at training time; scoring-only clips
-
-    att_labels = np.array([att_label(c.metadata) for c in clips],
-                          dtype=np.int64)
-    return PreparedBatchSet(waves=waves, specs=specs, sec_labels=sec_labels,
-                            att_labels=att_labels, clips=list(clips),
-                            sections=list(sections), table=table, stats=stats)
+    return PreparedBatchSet(waves=waves, specs=specs.astype(dtype, copy=False),
+                            clips=list(clips), stats=stats)
 
 
 @dataclass
@@ -337,8 +312,7 @@ class TrainResult:
 
 
 def train(clips: Sequence[AudioClip | ClipRecord], train_cfg: TrainConfig,
-          dsp_cfg: SpectrogramConfig | None = None,
-          model_cfg: ModelConfig | None = None) -> TrainResult:
+          dsp_cfg: SpectrogramConfig | None = None) -> TrainResult:
     """Train one GRHD model on the (normal-only) clips of one machine type.
 
     Epoch loop: seeded shuffle, forward, joint loss, backward, Adam step;
@@ -360,18 +334,22 @@ def train(clips: Sequence[AudioClip | ClipRecord], train_cfg: TrainConfig,
     dsp_cfg = dsp_cfg or SpectrogramConfig()
     dtype = precision_dtype(train_cfg.precision)
     prep = prepare_clips(clips, dsp_cfg, dtype)
+    table = build_attribute_groups([c.metadata for c in clips])
+    sections = table.sections
+    sec_index = {s: i for i, s in enumerate(sections)}
+    sec_labels = np.array([sec_index[c.metadata.section_id] for c in clips],
+                          dtype=np.int64)
+    att_labels = np.array([table.group_index(c.metadata) for c in clips],
+                          dtype=np.int64)
 
-    base_cfg = model_cfg or ModelConfig()
-    cfg = replace(base_cfg,
-                  num_mels=dsp_cfg.num_mels, frame_size=dsp_cfg.frame_size,
-                  hop=dsp_cfg.hop, num_sections=len(prep.sections),
-                  num_groups=prep.table.max_groups,
-                  dtype=train_cfg.precision)
+    cfg = ModelConfig(num_mels=dsp_cfg.num_mels, frame_size=dsp_cfg.frame_size,
+                      hop=dsp_cfg.hop, num_sections=len(sections),
+                      num_groups=table.max_groups, dtype=train_cfg.precision)
     model = GrhdModel(cfg, seed=train_cfg.seed)
     named_params = model.parameters()
     params = [t for _, t in named_params]
     state = ad.AdamState(lr=train_cfg.lr)
-    class_weights = inverse_frequency_weights(prep.table, dtype=dtype)
+    class_weights = inverse_frequency_weights(table, dtype=dtype)
 
     n = prep.waves.shape[0]
     rng = np.random.default_rng(train_cfg.seed)
@@ -390,7 +368,7 @@ def train(clips: Sequence[AudioClip | ClipRecord], train_cfg: TrainConfig,
                 wave, spec, lam, train=True)
             total, bd = grhd_loss(
                 logits_rev, logits_sec, logits_att,
-                prep.sec_labels[idx], prep.att_labels[idx],
+                sec_labels[idx], att_labels[idx],
                 train_cfg.weights, gamma_f=train_cfg.gamma_f,
                 class_weights=class_weights, lambda_used=lam, epoch=epoch)
             if not np.isfinite(bd.l_total):
@@ -414,7 +392,7 @@ def train(clips: Sequence[AudioClip | ClipRecord], train_cfg: TrainConfig,
                                  l_att=means[2], l_total=means[3],
                                  lambda_used=lam, epoch=epoch + 1))
     return TrainResult(model=model, log=log, stats=prep.stats,
-                       table=prep.table, sections=prep.sections,
+                       table=table, sections=sections,
                        class_weights=class_weights, dsp_cfg=dsp_cfg,
                        train_cfg=train_cfg)
 
@@ -435,7 +413,6 @@ def _eval_forward(model: GrhdModel, clips: Sequence[AudioClip | ClipRecord],
     outs = {"z_rev": [], "z_sec": [], "z_att": [], "logits_sec": []}
     with ad.no_grad():
         for start in range(0, len(clips), batch_size):
-            # The batch's labels come from its own table; eval reads none.
             prep = prepare_clips(clips[start:start + batch_size], dsp_cfg,
                                  dtype, stats=stats)
             z_rev = model.backbone_forward(ad.Tensor(prep.waves),

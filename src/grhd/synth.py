@@ -15,12 +15,13 @@ from its normal twin only at the injected click positions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from .config import coerce_fields
 from .dataset import (
     AudioClip,
     ClipMetadata,
@@ -71,21 +72,7 @@ class SynthConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "SynthConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in known:
-                raise InvalidConfig(f"unknown synth config key: {key}")
-            if key == "machines":
-                kwargs[key] = tuple(
-                    m.strip() for m in raw.split(",") if m.strip())
-            else:
-                target_type = known[key].type
-                if target_type == "int":
-                    kwargs[key] = int(raw)
-                else:
-                    kwargs[key] = float(raw)
-        return cls(**kwargs)
+        return cls(**coerce_fields(cls, mapping, "synth config"))
 
 
 def _clip_rng(cfg: SynthConfig, *key_parts) -> np.random.Generator:

@@ -112,13 +112,6 @@ def test_global_avg_pool_values():
     np.testing.assert_allclose(out.data, [[5.5, 17.5]])
 
 
-def test_softmax_rows_normalized():
-    rng = np.random.default_rng(6)
-    out = ad.softmax(ad.Tensor(rng.standard_normal((4, 7)))).data
-    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-12)
-    assert np.all(out > 0)
-
-
 # -------------------------------------------------------------- no_grad ----
 
 def _tiny_net(seed=0):

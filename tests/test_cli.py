@@ -147,6 +147,53 @@ def test_train_unknown_precision_fails_before_decoding(trained, capsys,
     assert not (root / "f16.ckpt").exists()
 
 
+@pytest.mark.parametrize("command,text,key,value", [
+    ("train", "epochs = abc\n", "epochs", "'abc'"),
+    ("synth", "seed = 1.5\n", "seed", "'1.5'"),
+])
+def test_unparsable_config_value_is_a_typed_error(trained, capsys, command,
+                                                  text, key, value):
+    root, data, _ = trained
+    cfg = root / f"bad_{command}.cfg"
+    cfg.write_text(text)
+    out = root / f"bad_{command}.out"
+    argv = {"train": ["train", "--data", str(data), "--machine", "toycar",
+                      "--seed", "1"],
+            "synth": ["synth"]}[command]
+    code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert key in err and value in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [-1, 0])
+def test_eval_rejects_knn_k_below_one_before_decoding(trained, capsys,
+                                                      monkeypatch, k):
+    from grhd import dataset
+
+    root, data, ckpt = trained
+    cfg = root / f"knn_{k}.cfg"
+    cfg.write_text(f"scorer = knn\nknn_k = {k}\n")
+    reads = []
+    read = dataset.wavfile.read
+
+    def counting(path, *args, **kwargs):
+        reads.append(path)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataset.wavfile, "read", counting)
+    report = root / f"knn_{k}.csv"
+    code = main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--config", str(cfg), "--out", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "knn_k" in err
+    assert reads == []
+    assert not report.exists()
+
+
 def test_train_unknown_machine_fails(trained, capsys):
     root, data, _ = trained
     code = main(["train", "--data", str(data), "--machine", "gearbox",

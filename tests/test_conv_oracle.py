@@ -1,6 +1,7 @@
-"""Convolution against direct-sum oracles, im2col/col2im in both column
-layouts against tap-loop references (bit for bit), and conv2d against the
-per-sample batched-GEMM conv2d it replaced on the wide-kernel layers."""
+"""Convolution against direct-sum oracles, the one `_im2col`/`_col2im` in
+both column layouts (per sample, and folded with `fold`) against tap-loop
+references (bit for bit), and conv2d against the per-sample batched-GEMM
+conv2d it replaced on the wide-kernel layers."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from grhd import autodiff as ad
 from grhd.autodiff import engine
-from grhd.autodiff.engine import (
-    _col2im,
-    _col2im_wide,
-    _im2col,
-    _im2col_wide,
-)
+from grhd.autodiff.engine import _col2im, _im2col
 from grhd.errors import ShapeMismatch
 
 
@@ -203,7 +199,7 @@ def test_im2col_col2im_bitwise_equal_to_tap_loops(case, f32):
     dtype = np.float32 if f32 else np.float64
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, c, h, w)).astype(dtype)
-    cols, (ho, wo) = _im2col(x, kh, kw, sh, sw, ph, pw)
+    cols, (ho, wo) = _im2col(x, kh, kw, sh, sw, ph, pw, False)
     ref, ref_hw = loop_im2col(x, kh, kw, sh, sw, ph, pw)
     assert (ho, wo) == ref_hw
     assert cols.dtype == ref.dtype
@@ -211,7 +207,7 @@ def test_im2col_col2im_bitwise_equal_to_tap_loops(case, f32):
 
     dcols = rng.standard_normal(cols.shape).astype(dtype)
     args = ((n, c, h, w), kh, kw, sh, sw, ph, pw, ho, wo)
-    dx = _col2im(dcols, *args)
+    dx = _col2im(dcols, *args, False)
     expect = loop_col2im(dcols, *args)
     assert dx.dtype == expect.dtype
     assert dx.tobytes() == np.ascontiguousarray(expect).tobytes()
@@ -234,18 +230,18 @@ MODEL_CONVS = {
 def test_model_conv_shapes_bitwise_equal_to_tap_loops(c, h, w, k, s, p):
     rng = np.random.default_rng(c * h + w)
     x = rng.standard_normal((4, c, h, w)).astype(np.float32)
-    cols, (ho, wo) = _im2col(x, *k, *s, *p)
+    cols, (ho, wo) = _im2col(x, *k, *s, *p, False)
     assert np.array_equal(cols, loop_im2col(x, *k, *s, *p)[0])
     dcols = rng.standard_normal(cols.shape).astype(np.float32)
     args = ((4, c, h, w), *k, *s, *p, ho, wo)
-    assert _col2im(dcols, *args).tobytes() == \
+    assert _col2im(dcols, *args, False).tobytes() == \
         np.ascontiguousarray(loop_col2im(dcols, *args)).tobytes()
 
 
 def test_t1_im2col_bitwise_equal_to_tap_loop():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 1, 1, 4000)).astype(np.float32)
-    cols, _ = _im2col(x, 1, 1024, 1, 512, 0, 0)
+    cols, _ = _im2col(x, 1, 1024, 1, 512, 0, 0, False)
     assert np.array_equal(cols, loop_im2col(x, 1, 1024, 1, 512, 0, 0)[0])
 
 
@@ -258,18 +254,17 @@ def test_wide_im2col_col2im_bitwise_equal_to_tap_loops(case, f32):
     dtype = np.float32 if f32 else np.float64
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, c, h, w)).astype(dtype)
-    cols, (ho, wo) = _im2col_wide(x, kh, kw, sh, sw, ph, pw)
+    cols, (ho, wo) = _im2col(x, kh, kw, sh, sw, ph, pw, True)
     ref, ref_hw = loop_im2col_wide(x, kh, kw, sh, sw, ph, pw)
     assert (ho, wo) == ref_hw
     assert cols.dtype == ref.dtype
-    assert np.array_equal(cols, ref)
+    assert np.array_equal(cols, ref[None])
 
     dcols = rng.standard_normal(cols.shape).astype(dtype)
     args = ((n, c, h, w), kh, kw, sh, sw, ph, pw, ho, wo)
-    dx = _col2im_wide(dcols, *args)
+    dx = _col2im(dcols, *args, True)
     expect = loop_col2im_wide(dcols, *args)
     assert dx.dtype == expect.dtype
-    assert dx.flags.c_contiguous
     assert dx.tobytes() == np.ascontiguousarray(expect).tobytes()
 
 
@@ -318,13 +313,14 @@ def test_conv2d_matches_per_sample_conv2d(case):
 
 @pytest.fixture
 def layouts(monkeypatch):
-    """Record which im2col layout each conv2d call takes."""
+    """Record the `fold` flag of each conv2d call's im2col: True for the
+    one-GEMM ("wide") layout."""
     taken = []
-    for name, layout in (("_im2col", "per_sample"), ("_im2col_wide", "wide")):
-        def spy(*args, _fn=getattr(engine, name), _layout=layout):
-            taken.append(_layout)
-            return _fn(*args)
-        monkeypatch.setattr(engine, name, spy)
+
+    def spy(*args, _fn=engine._im2col):
+        taken.append(args[-1])
+        return _fn(*args)
+    monkeypatch.setattr(engine, "_im2col", spy)
     return taken
 
 
@@ -349,7 +345,7 @@ def test_shape_rule_sides(xs, ws, s, p, layout, layouts):
     rng = np.random.default_rng(sum(xs) + sum(ws))
     assert_matches_per_sample(rng.standard_normal(xs), rng.standard_normal(ws),
                               rng.standard_normal(ws[0]), s, p, rng)
-    assert layouts == [layout]
+    assert layouts == [layout == "wide"]
 
 
 # Every GRHD conv layer at batch 4: (x shape, w shape, stride, padding).
@@ -372,8 +368,7 @@ def test_model_layers_against_per_sample_conv2d(name, layouts):
     rng = np.random.default_rng(len(name))
     assert_matches_per_sample(rng.standard_normal(xs), rng.standard_normal(ws),
                               rng.standard_normal(ws[0]), s, p, rng)
-    assert layouts == \
-        ["per_sample" if name in PER_SAMPLE_LAYERS else "wide"]
+    assert layouts == [name not in PER_SAMPLE_LAYERS]
 
 
 @pytest.mark.parametrize("name", sorted(set(MODEL_LAYERS) - PER_SAMPLE_LAYERS))
@@ -382,12 +377,12 @@ def test_model_layers_wide_helpers_bitwise_equal_to_tap_loops(name):
     kh, kw = ws[2:]
     rng = np.random.default_rng(len(name))
     x = rng.standard_normal(xs).astype(np.float32)
-    cols, (ho, wo) = _im2col_wide(x, kh, kw, sh, sw, ph, pw)
+    cols, (ho, wo) = _im2col(x, kh, kw, sh, sw, ph, pw, True)
     assert np.array_equal(cols,
-                          loop_im2col_wide(x, kh, kw, sh, sw, ph, pw)[0])
+                          loop_im2col_wide(x, kh, kw, sh, sw, ph, pw)[0][None])
     dcols = rng.standard_normal(cols.shape).astype(np.float32)
     args = (xs, kh, kw, sh, sw, ph, pw, ho, wo)
-    assert _col2im_wide(dcols, *args).tobytes() == \
+    assert _col2im(dcols, *args, True).tobytes() == \
         np.ascontiguousarray(loop_col2im_wide(dcols, *args)).tobytes()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from grhd.dataset import ClipMetadata, Condition, Domain, Split
 from grhd.errors import (
     DegenerateLabels,
+    InvalidConfig,
     InvalidP,
     NonFiniteScore,
     NonpositiveValue,
@@ -324,3 +325,10 @@ def test_cosine_knn_k_capped_at_bank_size():
     k2 = cosine_knn_scores(queries, bank, k=2)
     k9 = cosine_knn_scores(queries, bank, k=9)
     np.testing.assert_array_equal(k2, k9)
+
+
+@pytest.mark.parametrize("k", [-1, 0])
+def test_cosine_knn_k_below_one_rejected(k):
+    bank = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidConfig):
+        cosine_knn_scores(np.array([[1.0, 1.0]]), bank, k=k)

@@ -358,8 +358,7 @@ def test_eval_loop_matches_forward_on_uneven_batches(tmp_path):
     model = result.model
     records = _write_records(clips[:5], tmp_path)
     prep = prepare_clips(records, result.dsp_cfg, np.float32,
-                         table=result.table, stats=result.stats,
-                         sections=result.sections)
+                         stats=result.stats)
     logits, pooled = [], {"z_rev": [], "z_sec": [], "z_att": []}
     for sl in (slice(0, 2), slice(2, 4), slice(4, 5)):
         wave, spec = ad.Tensor(prep.waves[sl]), ad.Tensor(prep.specs[sl])
